@@ -55,9 +55,7 @@ std::shared_ptr<const thermal::PropagatorSet> Platform::propagators() const {
 }
 
 thermal::TransientSimulator Platform::MakeTransient(double dt_s) const {
-  return thermal::TransientSimulator(thermal_model(), dt_s,
-                                     thermal::StepKernel::kAuto,
-                                     propagators());
+  return thermal::TransientSimulator(thermal_model(), dt_s, propagators());
 }
 
 void Platform::AdoptThermalAssets(

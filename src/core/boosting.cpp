@@ -285,7 +285,7 @@ BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
 }
 
 std::vector<double> BoostingSimulator::CorePowers(
-    std::size_t level, std::vector<double>& die_temps) const {
+    std::size_t level, const std::vector<double>& die_temps) const {
   const power::VfLevel& vf = platform_->ladder()[level];
   const power::PowerModel& pm = platform_->power_model();
   const double activity = app_->Activity(threads_);
@@ -326,6 +326,19 @@ BoostTrace BoostingSimulator::RunConstant(std::size_t level,
   return trace;
 }
 
+std::size_t BoostingSimulator::NextBoostLevel(
+    std::size_t level, double peak_c, const std::vector<double>& die_temps,
+    double threshold_c, double power_cap_w) const {
+  const power::DvfsLadder& ladder = platform_->ladder();
+  if (peak_c >= threshold_c) return ladder.StepDown(level);
+  const std::size_t up = ladder.StepUp(level);
+  if (up == level) return level;
+  // Respect the electrical power constraint at the higher level.
+  double total_up = 0.0;
+  for (const double p : CorePowers(up, die_temps)) total_up += p;
+  return total_up <= power_cap_w ? up : level;
+}
+
 BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
                                           double threshold_c,
                                           double power_cap_w,
@@ -358,22 +371,11 @@ BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
   double gips_acc = 0.0;
   double energy_acc = 0.0;
   for (std::size_t s = 0; s < steps; ++s) {
-    // Control decision from the temperature at the period start.
-    const double peak = sim.PeakDieTemp();
+    // Control decision from the state at the period start.
+    const std::vector<double> temps = sim.DieTemps();
     const std::size_t prev_level = level;
-    if (peak < threshold_c) {
-      const std::size_t up = ladder.StepUp(level);
-      if (up != level) {
-        // Respect the electrical power constraint at the higher level.
-        std::vector<double> temps = sim.DieTemps();
-        const std::vector<double> p_up = CorePowers(up, temps);
-        double total_up = 0.0;
-        for (const double p : p_up) total_up += p;
-        if (total_up <= power_cap_w) level = up;
-      }
-    } else {
-      level = ladder.StepDown(level);
-    }
+    level = NextBoostLevel(level, sim.PeakDieTemp(), temps, threshold_c,
+                           power_cap_w);
     if (level != prev_level) {
       DS_TELEM_COUNT("boost.level_changes", 1);
       ds::telemetry::EmitInstant(
@@ -382,7 +384,6 @@ BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
           ladder[level].freq, "sim_time_s", sim.time());
     }
 
-    std::vector<double> temps = sim.DieTemps();
     const std::vector<double> powers = CorePowers(level, temps);
     double total_power = 0.0;
     for (const double p : powers) total_power += p;

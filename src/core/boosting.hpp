@@ -111,10 +111,19 @@ class BoostingSimulator {
   /// transient boosting runner (runtime/scenarios.cpp),
   /// which drives cohort members through a shared lockstep stepper
   /// outside this class.
-  std::vector<double> CorePowersAt(std::size_t level,
-                                   std::vector<double>& die_temps) const {
+  std::vector<double> CorePowersAt(
+      std::size_t level, const std::vector<double>& die_temps) const {
     return CorePowers(level, die_temps);
   }
+
+  /// One Turbo-Boost control decision, taken from the state at the
+  /// period start: step down when `peak_c` is at or above
+  /// `threshold_c`; otherwise step up when the higher level's power at
+  /// `die_temps` fits `power_cap_w`. Returns the next level. RunBoosting
+  /// and the batched boost_transient runner both decide through this.
+  std::size_t NextBoostLevel(std::size_t level, double peak_c,
+                             const std::vector<double>& die_temps,
+                             double threshold_c, double power_cap_w) const;
 
   /// Steady-state estimate at a ladder level (power, peak temperature).
   Estimate SteadyAtLevel(std::size_t level) const;
@@ -124,7 +133,7 @@ class BoostingSimulator {
  private:
   apps::Workload WorkloadAtLevel(std::size_t level) const;
   std::vector<double> CorePowers(std::size_t level,
-                                 std::vector<double>& die_temps) const;
+                                 const std::vector<double>& die_temps) const;
 
   const arch::Platform* platform_;
   const apps::AppProfile* app_;

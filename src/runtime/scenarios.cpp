@@ -167,31 +167,20 @@ struct BtMember {
   double max_temp_c = 0.0;
 };
 
-/// Per-control-period control decision + power update for one member;
-/// mirrors BoostingSimulator::RunBoosting's loop body against the
-/// member's panel column instead of a private TransientSimulator.
+/// Per-control-period control decision + power update for one member,
+/// read from and written to the member's panel column. The decision is
+/// BoostingSimulator::NextBoostLevel, the one RunBoosting takes.
 void BtControlStep(BtMember& m, thermal::BatchStepPropagator& batch,
                    double dt_s, std::vector<double>& temps_buf,
                    std::vector<double>& powers_buf) {
-  const power::DvfsLadder& ladder = m.platform->ladder();
-  const double threshold_c = m.platform->tdtm_c();
   const double peak = batch.PeakDieTemp(m.handle);
   auto member_state = batch.MemberState(m.handle);
   temps_buf.assign(member_state.begin(),
                    member_state.begin() +
                        static_cast<std::ptrdiff_t>(
                            m.platform->num_cores()));
-  if (peak < threshold_c) {
-    const std::size_t up = ladder.StepUp(m.level);
-    if (up != m.level) {
-      powers_buf = m.sim->CorePowersAt(up, temps_buf);
-      double total_up = 0.0;
-      for (const double w : powers_buf) total_up += w;
-      if (total_up <= m.p->power_cap_w) m.level = up;
-    }
-  } else {
-    m.level = ladder.StepDown(m.level);
-  }
+  m.level = m.sim->NextBoostLevel(m.level, peak, temps_buf,
+                                  m.platform->tdtm_c(), m.p->power_cap_w);
   powers_buf = m.sim->CorePowersAt(m.level, temps_buf);
   double total_power = 0.0;
   for (const double w : powers_buf) total_power += w;
@@ -310,9 +299,10 @@ void RunBoostTransientCohort(
       }
       m.level = level;
       // Leakage/temperature fixed point, as in BoostingSimulator's
-      // closed loops; SteadyStateSolver is deterministic, so every
-      // lane and cohort size starts from bitwise the same state.
-      const thermal::SteadyStateSolver solver(m.platform->thermal_model());
+      // closed loops, on the cache-shared solver; SteadyStateSolver is
+      // deterministic, so every lane and cohort size starts from
+      // bitwise the same state.
+      const thermal::SteadyStateSolver& solver = m.platform->solver();
       temps_buf.assign(m.platform->num_cores(),
                        m.platform->thermal_model().ambient_c());
       for (int it = 0; it < 3; ++it) {

@@ -125,11 +125,10 @@ struct SweepOptions {
 
   /// Largest lockstep cohort formed for batchable kinds (boost_transient):
   /// ready jobs sharing a BatchCohortKey advance through one panel pass
-  /// per control period instead of k separate GEMV sweeps. 1 disables
+  /// per control period instead of k separate operator passes. 1 disables
   /// batching. Results are byte-identical at any value (the scalar lane
-  /// runs the same k = 1 panel kernels); DS_THERMAL_KERNEL=batch forms
-  /// cohorts eagerly, auto (default) only when >= 2 jobs share a key,
-  /// lu/propagator disable cohorts for A/B runs.
+  /// runs the same k = 1 panel kernels). Cohorts form only when >= 2
+  /// pending jobs share a key.
   std::size_t batch_max_k = 16;
 };
 

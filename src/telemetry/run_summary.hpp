@@ -39,16 +39,6 @@ struct RunSummary {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_events_dropped = 0;
 
-  // Thermal step-kernel path selection (thermal.kernel.* counters):
-  // how many transient steps ran on the folded dense propagator, how
-  // many on the legacy LU triangular solve, how many were covered by
-  // k-step power-hold applications, and how many simulators fell back
-  // from propagator to LU on a degraded model.
-  std::uint64_t propagator_steps = 0;
-  std::uint64_t lu_kernel_steps = 0;
-  std::uint64_t hold_steps = 0;
-  std::uint64_t lu_fallbacks = 0;
-
   // Sweep resilience (sweep.* counters / filled by the sweep CLI from
   // SweepStats): retried attempts, watchdog timeouts, jobs retired to
   // quarantine after exhausting their retry budget.

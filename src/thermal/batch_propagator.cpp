@@ -53,8 +53,7 @@ std::size_t BatchStepPropagator::AddMember(
   const std::size_t member = col_of_member_.size();
   const std::size_t col = k_;
   state_.Gather(col, initial_state);
-  // Fresh members start with zero powers (matches a zero-filled power
-  // vector on the per-job path until SetPowers is called).
+  // Fresh members start with zero powers until SetPowers is called.
   auto p = powers_.col(col);
   std::fill(p.begin(), p.end(), 0.0);
   col_of_member_.push_back(col);
@@ -96,6 +95,11 @@ void BatchStepPropagator::SetPowers(std::size_t member,
     throw std::invalid_argument(
         "BatchStepPropagator::SetPowers: non-finite power input");
   powers_.Gather(ColumnOf(member), core_powers);
+}
+
+void BatchStepPropagator::SetState(std::size_t member,
+                                   std::span<const double> state) {
+  state_.Gather(ColumnOf(member), state);
 }
 
 void BatchStepPropagator::CopyState(std::size_t member,
@@ -141,10 +145,11 @@ void BatchStepPropagator::StepN(std::size_t n) {
     Step();
     return;
   }
-  // Same memoized Hold(n) matrices the per-job StepHold path uses --
-  // one batched affine application advances every member n steps.
+  // The memoized Hold(n) operator shared by every lane over this
+  // propagator: one batched affine application advances every member
+  // n steps.
   const std::shared_ptr<const StepPropagator::HoldOperator> hold =
-      prop_->Hold(n, /*for_batch=*/true);
+      prop_->Hold(n);
   DS_TELEM_COUNT("thermal.batch.panel_steps", 1);
   DS_TELEM_COUNT("thermal.batch.hold_steps", k_ * n);
   util::PanelApplyT(hold->t_op_t, state_, k_, &scratch_);
@@ -152,45 +157,6 @@ void BatchStepPropagator::StepN(std::size_t n) {
   util::PanelAddBroadcast(hold->amb_op, k_, &scratch_);
   state_.swap(scratch_);
   steps_ += n;
-}
-
-BatchTransientFacade::BatchTransientFacade(
-    std::shared_ptr<const StepPropagator> prop,
-    std::span<const double> initial_state)
-    : batch_(std::move(prop), /*k_max=*/1) {
-  DS_REQUIRE(initial_state.size() == batch_.num_nodes(),
-             "BatchTransientFacade: " << initial_state.size()
-                 << " state entries for " << batch_.num_nodes()
-                 << " nodes");
-  batch_.AddMember(initial_state);
-}
-
-void BatchTransientFacade::Step(std::span<const double> core_powers) {
-  batch_.SetPowers(0, core_powers);
-  batch_.Step();
-}
-
-void BatchTransientFacade::StepN(std::span<const double> core_powers,
-                                 std::size_t n) {
-  batch_.SetPowers(0, core_powers);
-  batch_.StepN(n);
-}
-
-void BatchTransientFacade::StepHold(std::span<const double> core_powers,
-                                    std::size_t k) {
-  DS_REQUIRE(k >= 1, "BatchTransientFacade::StepHold: k must be >= 1");
-  batch_.SetPowers(0, core_powers);
-  batch_.StepN(k);
-}
-
-std::vector<double> BatchTransientFacade::DieTemps() const {
-  auto s = batch_.MemberState(0);
-  return {s.begin(),
-          s.begin() + static_cast<std::ptrdiff_t>(batch_.num_cores())};
-}
-
-double BatchTransientFacade::PeakDieTemp() const {
-  return batch_.PeakDieTemp(0);
 }
 
 }  // namespace ds::thermal

@@ -74,29 +74,6 @@ StepPropagator::StepPropagator(const RcModel& model, double dt_s)
   m_state_ = std::move(inverse);
 }
 
-void StepPropagator::Apply(std::span<const double> state,
-                           std::span<const double> core_powers,
-                           std::span<double> out) const {
-  DS_REQUIRE(out.data() != state.data(),
-             "StepPropagator::Apply: out must not alias state");
-  // out = M_state state; out += M_in P; out += c_amb. Shape checks
-  // live in the kernels.
-  util::Gemv(m_state_, state, out);
-  util::GemvAdd(m_in_, core_powers, out);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += c_amb_[i];
-}
-
-void StepPropagator::ApplyHold(const HoldOperator& hold,
-                               std::span<const double> state,
-                               std::span<const double> core_powers,
-                               std::span<double> out) const {
-  DS_REQUIRE(out.data() != state.data(),
-             "StepPropagator::ApplyHold: out must not alias state");
-  util::Gemv(hold.t_op, state, out);
-  util::GemvAdd(hold.in_op, core_powers, out);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] += hold.amb_op[i];
-}
-
 const util::Matrix& StepPropagator::state_operator_t() const {
   const ds::MutexLock lock(hold_mu_);
   if (m_state_t_.rows() == 0) {
@@ -131,23 +108,12 @@ StepPropagator::HoldOperator StepPropagator::Compose(
 }
 
 std::shared_ptr<const StepPropagator::HoldOperator> StepPropagator::Hold(
-    std::size_t k, bool for_batch) const {
+    std::size_t k) const {
   DS_REQUIRE(k >= 1, "StepPropagator::Hold: k must be >= 1");
-  // Fills the batch-path transposes exactly once, in place, under
-  // hold_mu_. Safe even when the operator is already shared: GEMV-path
-  // readers never touch the *_t members, and every batch reader gets
-  // its pointer from a Hold(k, true) call that happens-after the fill.
-  const auto ensure_transposes = [](HoldOperator* hold) {
-    if (hold->t_op_t.rows() != 0) return;
-    DS_TELEM_TIMER("thermal.operator_transpose_us");
-    hold->t_op_t = Transposed(hold->t_op);
-    hold->in_op_t = Transposed(hold->in_op);
-  };
   const ds::MutexLock lock(hold_mu_);
   const auto it = holds_.find(k);
   if (it != holds_.end()) {
     DS_TELEM_COUNT("thermal.hold_op_hits", 1);
-    if (for_batch) ensure_transposes(it->second.get());
     return it->second;
   }
   DS_TELEM_COUNT("thermal.hold_op_builds", 1);
@@ -181,7 +147,11 @@ std::shared_ptr<const StepPropagator::HoldOperator> StepPropagator::Hold(
     bits >>= 1u;
     ++level;
   }
-  if (for_batch) ensure_transposes(acc.get());
+  {
+    DS_TELEM_TIMER("thermal.operator_transpose_us");
+    acc->t_op_t = Transposed(acc->t_op);
+    acc->in_op_t = Transposed(acc->in_op);
+  }
   holds_.emplace(k, acc);
   return acc;
 }

@@ -14,17 +14,19 @@
 // All three come out of ONE blocked multi-RHS solve on the identity
 // (util::LuFactorization::SolveMany): A^-1 e_i is column i, so M_state
 // is A^-1 with column i scaled by cap_i/dt and M_in is the die-node
-// column subset. After that, stepping is a pair of allocation-free
-// GEMVs -- no permutation gather, no triangular dependency chain, pure
-// row-major multiply-add streams (util/kernels.hpp).
+// column subset. After that, a step is a pair of operator
+// applications -- no permutation gather, no triangular dependency
+// chain. BatchStepPropagator (thermal/batch_propagator.hpp) applies
+// them to a panel of state columns; it is the only stepper.
 //
 // Power-hold fast path: k identical steps compose into one affine
 // operator. Composition of two holds (A2,B2,c2) o (A1,B1,c1) is
 // (A2 A1, A2 B1 + B2, A2 c1 + c2), so Hold(k) is built by binary
 // powering in O(log k) GEMMs and memoized; advancing a constant-power
 // segment then costs ONE application regardless of k. Used by
-// TransientSimulator::StepHold / StepN for warm-up and constant-power
-// segments where intermediate samples are not needed.
+// BatchStepPropagator::StepN (and so TransientSimulator::StepN) for
+// warm-up and constant-power segments where intermediate samples are
+// not needed.
 //
 // Sharing: a propagator is immutable after construction except for the
 // mutex-protected hold-operator cache, so one instance can serve every
@@ -51,16 +53,14 @@ class StepPropagator {
  public:
   /// One k-step affine operator: T_{+k} = t_op T + in_op P + amb_op.
   /// The *_t members are transposed copies for the outer-product panel
-  /// kernels (util/panel.hpp); they are filled only when the operator
-  /// was requested via Hold(k, /*for_batch=*/true), so holds that only
-  /// ever serve the per-job GEMV path stay half the size.
+  /// kernels (util/panel.hpp); every operator Hold() returns has them.
   struct HoldOperator {
     std::size_t k = 0;
     util::Matrix t_op;             // n x n
     util::Matrix in_op;            // n x num_cores
     std::vector<double> amb_op;    // n
-    util::Matrix t_op_t;           // n x n, t_op transposed (batch only)
-    util::Matrix in_op_t;          // num_cores x n (batch only)
+    util::Matrix t_op_t;           // n x n, t_op transposed
+    util::Matrix in_op_t;          // num_cores x n
   };
 
   /// Folds the implicit-Euler step of `model` at step `dt_s` into the
@@ -70,25 +70,10 @@ class StepPropagator {
   /// if the system matrix is singular or the fold is non-finite.
   StepPropagator(const RcModel& model, double dt_s);
 
-  /// One step: out = M_state state + M_in core_powers + c_amb.
-  /// Allocation-free; `out` must not alias `state`.
-  void Apply(std::span<const double> state,
-             std::span<const double> core_powers,
-             std::span<double> out) const;
-
-  /// k steps under constant power in one application of Hold(k).
-  /// Allocation-free after the memoized hold operator exists.
-  void ApplyHold(const HoldOperator& hold, std::span<const double> state,
-                 std::span<const double> core_powers,
-                 std::span<double> out) const;
-
   /// Memoized k-step hold operator (k >= 1), built by binary powering
-  /// over a cached chain of power-of-two holds. Thread-safe. Pass
-  /// for_batch = true to also populate (once) the transposed copies the
-  /// batched panel path applies; a hold already memoized without them
-  /// gains them in place under the cache lock.
-  std::shared_ptr<const HoldOperator> Hold(std::size_t k,
-                                           bool for_batch = false) const;
+  /// over a cached chain of power-of-two holds, with the transposed
+  /// copies the panel kernels apply. Thread-safe.
+  std::shared_ptr<const HoldOperator> Hold(std::size_t k) const;
 
   /// Approximate resident bytes: the operator triple plus the memoized
   /// hold operators (deduplicated -- holds_ aliases pow2_ entries).
@@ -129,12 +114,11 @@ class StepPropagator {
   mutable util::Matrix m_in_t_;
 
   mutable Mutex hold_mu_{locks::kPropagator};
-  // Non-const entries so Hold(k, for_batch=true) can fill transposes
-  // into an already-memoized operator in place (under hold_mu_); the
-  // public surface still hands out shared_ptr<const HoldOperator>.
-  mutable std::vector<std::shared_ptr<HoldOperator>> pow2_
+  // pow2_ holds the power-of-two chain Hold() composes from (no
+  // transposes); holds_ the finished, transposed operators.
+  mutable std::vector<std::shared_ptr<const HoldOperator>> pow2_
       DS_GUARDED_BY(hold_mu_);
-  mutable std::map<std::size_t, std::shared_ptr<HoldOperator>> holds_
+  mutable std::map<std::size_t, std::shared_ptr<const HoldOperator>> holds_
       DS_GUARDED_BY(hold_mu_);
 };
 

@@ -1,8 +1,9 @@
 // Blocked dense linear-algebra kernels for the thermal step propagator.
 //
 // These are the allocation-free building blocks under the hot paths:
-// GEMV drives every transient step on the propagator path, GEMM builds
-// the k-step power-hold operators, and LuFactorization::SolveMany (see
+// GEMV and GEMM fold the step propagator and compose the k-step
+// power-hold operators (the steps themselves run on the panel kernels
+// of util/panel.hpp), and LuFactorization::SolveMany (see
 // lu.hpp) uses the same row-panel blocking for multi-RHS triangular
 // solves. All kernels write into caller-provided storage -- nothing
 // here allocates -- and all of them traverse row-major data in order,
@@ -10,8 +11,8 @@
 // compiler can vectorize the inner loops.
 //
 // At the thermal-network sizes of this project (4N+12 <= ~1500 nodes)
-// a dense row-major layout with these kernels beats the permuted
-// triangular solves they replace: no gather through the pivot
+// a dense row-major layout with these kernels beats permuted
+// triangular solves: no gather through the pivot
 // permutation, no loop-carried division chain, pure multiply-add
 // streams.
 #pragma once

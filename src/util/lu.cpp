@@ -62,12 +62,8 @@ LuFactorization::LuFactorization(const Matrix& a, double pivot_floor)
 }
 
 std::vector<double> LuFactorization::Solve(std::span<const double> b) const {
-  DS_REQUIRE(b.size() == n_,
-             "LuFactorization::Solve: rhs size " << b.size() << " != " << n_);
   std::vector<double> x(n_);
-  // Apply permutation while loading.
-  for (std::size_t i = 0; i < n_; ++i) x[i] = b[perm_[i]];
-  SolveInPlaceNoPermute(x);
+  Solve(b, x);
   return x;
 }
 
@@ -78,6 +74,7 @@ void LuFactorization::Solve(std::span<const double> b,
                                                  << x.size() << " != " << n_);
   DS_REQUIRE(b.data() != x.data(),
              "LuFactorization::Solve: rhs and output must not alias");
+  // Apply the permutation while loading.
   for (std::size_t i = 0; i < n_; ++i) x[i] = b[perm_[i]];
   SolveInPlaceNoPermute(x);
 }

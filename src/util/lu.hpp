@@ -45,8 +45,8 @@ class LuFactorization {
 
   /// Allocation-free solve into caller storage: x = A^-1 b. Requires
   /// b.size() == x.size() == n(); b and x must not alias (the pivot
-  /// permutation is applied while loading b into x). This is the
-  /// hot-path overload used by the legacy transient stepping kernel.
+  /// permutation is applied while loading b into x). The allocating
+  /// overload above wraps it.
   void Solve(std::span<const double> b, std::span<double> x) const;
 
   /// In-place solve: overwrites `x` (initially the RHS) with the solution.

@@ -147,7 +147,7 @@ inline void Axpy4Row(const double* a0, const double* a1, const double* a2,
 /// both the identical ascending-c fused fold per element -- the tiling
 /// is free to change, the per-element bits are not (see file comment):
 ///   k <= 2 -- streaming axpy sweep: c outer, so the operator is read
-///             once, sequentially, exactly like the GEMV lane's stream
+///             once, sequentially, exactly like a GEMV stream
 ///             (memory-bound regime; prefetch-friendly).
 ///   k >= 3 -- register tiles: 8-wide output blocks x member groups of
 ///             four, c innermost, so accumulators never round-trip

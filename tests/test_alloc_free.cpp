@@ -1,20 +1,24 @@
 // Allocation-freedom regression test for the transient stepping hot
 // path. Built as its own binary (not part of ds_tests) because it
 // replaces the global allocator with a counting one: after warm-up,
-// Step / StepHold / StepN must perform ZERO heap allocations on both
-// the propagator and the legacy LU kernel. This is the enforcement for
-// the per-step-allocation fix -- a reintroduced std::vector in the step
-// path fails here, not in a profile three PRs later.
+// TransientSimulator::Step / StepN (the k = 1 panel lane) and a
+// cohort's held BatchStepPropagator::StepN must perform ZERO heap
+// allocations. This is the enforcement for the per-step-allocation fix
+// -- a reintroduced std::vector in the step path fails here, not in a
+// profile three PRs later.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "thermal/batch_propagator.hpp"
 #include "thermal/floorplan.hpp"
+#include "thermal/propagator.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/transient.hpp"
 
@@ -58,8 +62,7 @@ std::uint64_t AllocsDuring(const std::function<void()>& body) {
 
 TEST(AllocFree, PropagatorStepAllocatesNothing) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
-  ASSERT_EQ(sim.kernel(), StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
   const std::vector<double> p(16, 2.0);
   sim.Step(p);  // warm-up (first telemetry-site touch, lazily, if any)
   EXPECT_EQ(AllocsDuring([&] {
@@ -68,32 +71,26 @@ TEST(AllocFree, PropagatorStepAllocatesNothing) {
             0u);
 }
 
-TEST(AllocFree, LegacyLuStepAllocatesNothing) {
-  const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kLu);
-  ASSERT_EQ(sim.kernel(), StepKernel::kLu);
-  const std::vector<double> p(16, 2.0);
-  sim.Step(p);
-  EXPECT_EQ(AllocsDuring([&] {
-              for (int i = 0; i < 1000; ++i) sim.Step(p);
-            }),
-            0u);
-}
-
+// The k-step hold of a 4-member cohort (the boost_transient settle
+// segment) once Hold(50) is memoized.
 TEST(AllocFree, StepHoldAllocatesNothingOnceOperatorIsMemoized) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
+  BatchStepPropagator cohort(
+      std::make_shared<const StepPropagator>(model, 1e-3), /*k_max=*/4);
+  const std::vector<double> init(model.num_nodes(), 50.0);
   const std::vector<double> p(16, 2.0);
-  sim.StepHold(p, 50);  // builds + memoizes Hold(50)
+  for (std::size_t j = 0; j < 4; ++j)
+    cohort.SetPowers(cohort.AddMember(init), p);
+  cohort.StepN(50);  // builds + memoizes Hold(50)
   EXPECT_EQ(AllocsDuring([&] {
-              for (int i = 0; i < 100; ++i) sim.StepHold(p, 50);
+              for (int i = 0; i < 100; ++i) cohort.StepN(50);
             }),
             0u);
 }
 
 TEST(AllocFree, StepNAllocatesNothingAfterWarmup) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
   const std::vector<double> p(16, 2.0);
   sim.StepN(p, 25);  // memoizes Hold(25)
   EXPECT_EQ(AllocsDuring([&] {

@@ -1,14 +1,14 @@
 // Batched lockstep stepping: a member's trajectory inside a k-wide
-// cohort must be (a) within rounding error (1e-9 C) of the per-job
-// TransientSimulator propagator path it replaces, and (b) BITWISE
-// identical at any cohort size -- the scalar lane (k = 1 facade) runs
-// the same panel kernels, which is the determinism contract behind the
-// sweep engine's byte-identical CSV promise at any --batch-max-k.
+// cohort must be (a) within rounding error (1e-9 C) of an implicit-
+// Euler LU oracle (euler_oracle.hpp), and (b) BITWISE identical at any
+// cohort size -- TransientSimulator is the k = 1 lane of the same
+// panel kernels, which is the determinism contract behind the sweep
+// engine's byte-identical CSV promise at any --batch-max-k.
 // Also covered: mid-cohort detachment (swap-last compaction leaves
 // survivors untouched bitwise), the memoized Hold(n) panel path,
 // mixed-dt cohorts off one PropagatorSet, and a TSan-hammered
 // concurrent-cohort run over one shared propagator (lazy transposed-
-// operator build and Hold(for_batch) upgrades race-free).
+// operator build and Hold(n) memoization race-free).
 #include "thermal/batch_propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "euler_oracle.hpp"
 #include "runtime/model_cache.hpp"
 #include "runtime/result_sink.hpp"
 #include "runtime/scenarios.hpp"
@@ -27,11 +28,14 @@
 #include "thermal/floorplan.hpp"
 #include "thermal/propagator.hpp"
 #include "thermal/rc_model.hpp"
+#include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 #include "util/contracts.hpp"
 
 namespace ds::thermal {
 namespace {
+
+using testing::EulerOracle;
 
 double MaxAbsDiff(std::span<const double> a, std::span<const double> b) {
   double worst = 0.0;
@@ -73,16 +77,16 @@ std::shared_ptr<const StepPropagator> MakeProp(const RcModel& model,
 TEST(BatchStepPropagator, MatchesPerJobSimulatorTo1e9) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   const auto prop = MakeProp(model, 1e-3);
+  const SteadyStateSolver solver(model);
   const std::size_t k = 4;
 
-  // Seed each reference with a distinct warm state, then add that
-  // exact state as a cohort member so both lanes start identically.
-  std::vector<TransientSimulator> refs;
+  // Seed each oracle with a distinct warm state, then add that exact
+  // state as a cohort member so both start identically.
+  std::vector<EulerOracle> refs;
   BatchStepPropagator batch(prop, k);
   for (std::size_t j = 0; j < k; ++j) {
-    refs.emplace_back(model, 1e-3, StepKernel::kPropagator);
-    ASSERT_EQ(refs.back().kernel(), StepKernel::kPropagator);
-    refs.back().InitializeSteadyState(PowerPattern(model.num_cores(), j, 0));
+    refs.emplace_back(model, 1e-3,
+                      solver.SolveFull(PowerPattern(model.num_cores(), j, 0)));
     ASSERT_EQ(batch.AddMember(refs.back().state()), j);
   }
   ASSERT_EQ(batch.k(), k);
@@ -101,7 +105,6 @@ TEST(BatchStepPropagator, MatchesPerJobSimulatorTo1e9) {
   for (std::size_t j = 0; j < k; ++j) {
     batch.CopyState(j, out);
     EXPECT_LT(MaxAbsDiff(out, refs[j].state()), 1e-9) << "member " << j;
-    EXPECT_NEAR(batch.PeakDieTemp(j), refs[j].PeakDieTemp(), 1e-9);
   }
   EXPECT_EQ(batch.steps(), 120u);
 }
@@ -111,8 +114,9 @@ TEST(BatchStepPropagator, BitwiseIdenticalAcrossCohortSizes) {
   const auto prop = MakeProp(model, 1e-3);
   const std::vector<double> init = InitialState(model.num_nodes(), 0);
 
-  // Lane A: the member alone (scalar lane, k = 1 facade).
-  BatchTransientFacade solo(prop, init);
+  // Lane A: the member alone (the k = 1 scalar lane).
+  BatchStepPropagator solo(prop, 1);
+  ASSERT_EQ(solo.AddMember(init), 0u);
   // Lanes B, C: the same member sharing a panel with 1 / 4 others
   // carrying different states and powers.
   BatchStepPropagator duo(prop, 2);
@@ -126,7 +130,8 @@ TEST(BatchStepPropagator, BitwiseIdenticalAcrossCohortSizes) {
 
   for (std::size_t s = 0; s < 200; ++s) {
     const std::vector<double> p = PowerPattern(model.num_cores(), 0, s / 40);
-    solo.Step(p);
+    solo.SetPowers(0, p);
+    solo.Step();
     duo.SetPowers(0, p);
     five.SetPowers(0, p);
     for (std::size_t j = 1; j < 2; ++j)
@@ -136,8 +141,8 @@ TEST(BatchStepPropagator, BitwiseIdenticalAcrossCohortSizes) {
     duo.Step();
     five.Step();
   }
-  EXPECT_TRUE(BitwiseEqual(solo.state(), duo.MemberState(0)));
-  EXPECT_TRUE(BitwiseEqual(solo.state(), five.MemberState(0)));
+  EXPECT_TRUE(BitwiseEqual(solo.MemberState(0), duo.MemberState(0)));
+  EXPECT_TRUE(BitwiseEqual(solo.MemberState(0), five.MemberState(0)));
 }
 
 TEST(BatchStepPropagator, DetachLeavesSurvivorsBitwiseUnchanged) {
@@ -196,15 +201,13 @@ TEST(BatchStepPropagator, StepNHoldPathMatchesExplicitSteps) {
       EXPECT_LT(MaxAbsDiff(a, b), 1e-9) << "n=" << n << " member " << j;
     }
     EXPECT_EQ(held.steps(), stepped.steps());
-    // And the batched hold stays within rounding error of the per-job
-    // StepHold over the same memoized operator family.
-    TransientSimulator ref(model, 1e-3, StepKernel::kPropagator);
-    BatchTransientFacade facade(prop, ref.state());
+    // And the held member stays within rounding error of n oracle
+    // steps.
+    EulerOracle oracle(model, 1e-3, InitialState(model.num_nodes(), 0));
     const std::vector<double> p = PowerPattern(model.num_cores(), 0, 0);
-    ref.StepHold(p, n);
-    facade.StepHold(p, n);
-    EXPECT_LT(MaxAbsDiff(facade.state(), ref.state()), 1e-9) << "n=" << n;
-    EXPECT_NEAR(facade.time(), ref.time(), 1e-12);
+    for (std::size_t s = 0; s < n; ++s) oracle.Step(p);
+    EXPECT_LT(MaxAbsDiff(held.MemberState(0), oracle.state()), 1e-9)
+        << "n=" << n;
   }
 }
 
@@ -219,8 +222,8 @@ TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
 
   BatchStepPropagator fast(fast_prop, 2);
   BatchStepPropagator slow(slow_prop, 2);
-  TransientSimulator fast_ref(model, 1e-3, StepKernel::kPropagator);
-  TransientSimulator slow_ref(model, 2e-3, StepKernel::kPropagator);
+  EulerOracle fast_ref(model, 1e-3);
+  EulerOracle slow_ref(model, 2e-3);
   fast.AddMember(fast_ref.state());
   slow.AddMember(slow_ref.state());
   fast.AddMember(InitialState(model.num_nodes(), 1));
@@ -243,22 +246,47 @@ TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
   EXPECT_DOUBLE_EQ(slow.dt(), 2e-3);
 }
 
-TEST(BatchTransientFacade, DegenerateK1MirrorsTransientSurface) {
+// TransientSimulator is the k = 1 lane: its trajectory is bitwise the
+// same member's inside a 4-wide cohort whose other members carry
+// different states and powers, through single steps and holds alike.
+TEST(BatchStepPropagator, TransientSimulatorIsTheK1Lane) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  const auto prop = MakeProp(model, 1e-3);
-  TransientSimulator ref(model, 1e-3, StepKernel::kPropagator);
-  BatchTransientFacade facade(prop, ref.state());
+  const auto set = std::make_shared<const PropagatorSet>();
+  const auto prop = set->For(model, 1e-3);
+  TransientSimulator sim(model, 1e-3, set);
+  sim.InitializeSteadyState(PowerPattern(model.num_cores(), 0, 0));
 
-  const std::vector<double> p = PowerPattern(model.num_cores(), 0, 0);
-  facade.Step(p);
-  ref.Step(p);
-  facade.StepN(p, 5);
-  ref.StepN(p, 5);
-  EXPECT_LT(MaxAbsDiff(facade.state(), ref.state()), 1e-9);
-  EXPECT_NEAR(facade.time(), ref.time(), 1e-12);
-  EXPECT_DOUBLE_EQ(facade.dt(), ref.dt());
-  ASSERT_EQ(facade.DieTemps().size(), model.num_cores());
-  EXPECT_NEAR(facade.PeakDieTemp(), ref.PeakDieTemp(), 1e-9);
+  BatchStepPropagator cohort(prop, 4);
+  ASSERT_EQ(cohort.AddMember(InitialState(model.num_nodes(), 1)), 0u);
+  ASSERT_EQ(cohort.AddMember(sim.state()), 1u);
+  cohort.AddMember(InitialState(model.num_nodes(), 2));
+  cohort.AddMember(InitialState(model.num_nodes(), 3));
+  auto step_others = [&](std::size_t phase) {
+    for (const std::size_t j : {0u, 2u, 3u})
+      cohort.SetPowers(j, PowerPattern(model.num_cores(), j + 1, phase));
+  };
+  // 200 steps: well past any warm-up phase, with varying powers.
+  for (std::size_t s = 0; s < 200; ++s) {
+    const std::vector<double> p = PowerPattern(model.num_cores(), 0, s / 7);
+    sim.Step(p);
+    step_others(s);
+    cohort.SetPowers(1, p);
+    cohort.Step();
+  }
+  const std::vector<double> p = PowerPattern(model.num_cores(), 0, 99);
+  sim.StepN(p, 25);
+  step_others(99);
+  cohort.SetPowers(1, p);
+  cohort.StepN(25);
+
+  EXPECT_TRUE(BitwiseEqual(sim.state(), cohort.MemberState(1)));
+  EXPECT_EQ(sim.PeakDieTemp(), cohort.PeakDieTemp(1));
+  const std::vector<double> die = sim.DieTemps();
+  ASSERT_EQ(die.size(), model.num_cores());
+  EXPECT_TRUE(BitwiseEqual(
+      die, cohort.MemberState(1).first(model.num_cores())));
+  EXPECT_NEAR(sim.time(), 225e-3, 1e-12);
+  EXPECT_DOUBLE_EQ(sim.dt(), cohort.dt());
 }
 
 TEST(BatchStepPropagator, RejectsBadInputs) {
@@ -279,13 +307,13 @@ TEST(BatchStepPropagator, RejectsBadInputs) {
 }
 
 // TSan target: many cohorts over ONE shared propagator. Construction
-// races on the lazy transposed-operator build; StepN races on
-// Hold(n, for_batch) upgrades of memoized holds that other threads
-// are concurrently reading through the per-job path.
+// races on the lazy transposed-operator build; StepN races on the
+// memoized Hold(n) build, which per-thread TransientSimulators on the
+// same set hit too.
 TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  const PropagatorSet set;
-  const auto prop = set.For(model, 1e-3);
+  const auto set = std::make_shared<const PropagatorSet>();
+  const auto prop = set->For(model, 1e-3);
 
   // Reference trajectory computed serially first.
   BatchStepPropagator ref(prop, 4);
@@ -307,12 +335,12 @@ TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
         b.AddMember(InitialState(model.num_nodes(), j));
         b.SetPowers(j, PowerPattern(model.num_cores(), j, 0));
       }
-      // Interleave with a per-job simulator sharing the same memoized
-      // holds, mimicking a sweep where scalar and batched workers
-      // coexist.
-      TransientSimulator scalar(model, 1e-3, StepKernel::kPropagator);
+      // Interleave with a scalar-lane simulator sharing the same
+      // memoized holds, mimicking a sweep where scalar and batched
+      // workers coexist.
+      TransientSimulator scalar(model, 1e-3, set);
       for (std::size_t s = 0; s < 10; ++s) b.Step();
-      scalar.StepHold(PowerPattern(model.num_cores(), t, 1), 16);
+      scalar.StepN(PowerPattern(model.num_cores(), t, 1), 16);
       b.StepN(16);
       got[t].resize(model.num_nodes());
       b.CopyState(0, got[t]);

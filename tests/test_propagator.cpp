@@ -1,8 +1,7 @@
-// Step-propagator kernels: the folded dense operator path must match
-// the legacy LU stepping path to rounding error (1e-9 C) across
-// floorplan sizes, power patterns and hold lengths -- these two paths
-// are the A/B pair behind DS_THERMAL_KERNEL, so any divergence is a
-// correctness bug in one of them.
+// Step-propagator kernels: the folded dense operator, applied by
+// TransientSimulator's panel lane, must match an implicit-Euler LU
+// oracle written in the tests (euler_oracle.hpp) to rounding error
+// (1e-9 C) across floorplan sizes, power patterns and hold lengths.
 #include "thermal/propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "arch/platform.hpp"
+#include "euler_oracle.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/transient.hpp"
@@ -19,7 +19,9 @@
 namespace ds::thermal {
 namespace {
 
-double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
+using testing::EulerOracle;
+
+double MaxAbsDiff(std::span<const double> a, std::span<const double> b) {
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(a[i] - b[i]));
@@ -37,19 +39,17 @@ std::vector<double> PowerPattern(std::size_t n, std::size_t phase) {
 TEST(StepPropagator, MatchesLuPathAcrossFloorplanSizes) {
   for (const std::size_t cores : {4u, 16u, 49u, 100u}) {
     const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-    TransientSimulator fast(model, 1e-3, StepKernel::kPropagator);
-    TransientSimulator legacy(model, 1e-3, StepKernel::kLu);
-    ASSERT_EQ(fast.kernel(), StepKernel::kPropagator);
-    ASSERT_EQ(legacy.kernel(), StepKernel::kLu);
+    TransientSimulator sim(model, 1e-3);
+    EulerOracle oracle(model, 1e-3);
     // Time-varying powers so the input operator is exercised too.
     for (std::size_t s = 0; s < 50; ++s) {
       const std::vector<double> p = PowerPattern(cores, s / 10);
-      fast.Step(p);
-      legacy.Step(p);
+      sim.Step(p);
+      oracle.Step(p);
     }
-    EXPECT_LT(MaxAbsDiff(fast.state(), legacy.state()), 1e-9)
+    EXPECT_LT(MaxAbsDiff(sim.state(), oracle.state()), 1e-9)
         << cores << " cores";
-    EXPECT_DOUBLE_EQ(fast.time(), legacy.time());
+    EXPECT_NEAR(sim.time(), 50e-3, 1e-12);
   }
 }
 
@@ -58,12 +58,12 @@ TEST(StepPropagator, HoldMatchesExplicitStepsToRoundingError) {
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 0);
   for (const std::size_t k : {1u, 2u, 3u, 7u, 64u, 1000u}) {
-    TransientSimulator held(model, 1e-3, StepKernel::kPropagator);
-    TransientSimulator stepped(model, 1e-3, StepKernel::kPropagator);
+    TransientSimulator held(model, 1e-3);
+    TransientSimulator stepped(model, 1e-3);
     // Start from a non-trivial state so t_op is exercised.
     held.InitializeSteadyState(PowerPattern(cores, 1));
     stepped.InitializeSteadyState(PowerPattern(cores, 1));
-    held.StepHold(p, k);
+    held.StepN(p, k);
     for (std::size_t s = 0; s < k; ++s) stepped.Step(p);
     EXPECT_LT(MaxAbsDiff(held.state(), stepped.state()), 1e-9) << "k=" << k;
     EXPECT_NEAR(held.time(), stepped.time(), 1e-12);
@@ -74,19 +74,19 @@ TEST(StepPropagator, HoldMatchesLegacyLuSteps) {
   const std::size_t cores = 16;
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 2);
-  TransientSimulator fast(model, 1e-3, StepKernel::kPropagator);
-  TransientSimulator legacy(model, 1e-3, StepKernel::kLu);
-  fast.StepHold(p, 200);
-  legacy.StepHold(p, 200);  // degrades to 200 explicit steps
-  EXPECT_LT(MaxAbsDiff(fast.state(), legacy.state()), 1e-9);
+  TransientSimulator sim(model, 1e-3);
+  EulerOracle oracle(model, 1e-3);
+  sim.StepN(p, 200);  // one Hold(200) application
+  for (std::size_t s = 0; s < 200; ++s) oracle.Step(p);
+  EXPECT_LT(MaxAbsDiff(sim.state(), oracle.state()), 1e-9);
 }
 
 TEST(StepPropagator, StepNRoutesThroughHoldWithIdenticalSemantics) {
   const std::size_t cores = 16;
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 0);
-  TransientSimulator a(model, 1e-3, StepKernel::kPropagator);
-  TransientSimulator b(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator a(model, 1e-3);
+  TransientSimulator b(model, 1e-3);
   a.StepN(p, 25);
   for (std::size_t s = 0; s < 25; ++s) b.Step(p);
   EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-9);
@@ -135,17 +135,14 @@ TEST(PropagatorSet, PlatformMakeTransientSharesPropagators) {
   const arch::Platform platform(power::TechNode::N16, 16);
   TransientSimulator a = platform.MakeTransient(1e-3);
   TransientSimulator b = platform.MakeTransient(1e-3);
-  // kAuto folds lazily: nothing lands in the shared set until a
-  // simulator crosses the upgrade threshold...
-  EXPECT_EQ(platform.propagators()->size(), 0u);
-  const std::vector<double> p(16, 2.0);
-  a.StepHold(p, TransientSimulator::kAutoUpgradeSteps);
-  b.StepHold(p, TransientSimulator::kAutoUpgradeSteps);
-  // ...after which every simulator at that dt shares one fold.
+  // Every simulator at one dt shares one fold, made by the first.
   EXPECT_EQ(platform.propagators()->size(), 1u);
   TransientSimulator c = platform.MakeTransient(5e-3);
-  c.StepHold(p, TransientSimulator::kAutoUpgradeSteps);
   EXPECT_EQ(platform.propagators()->size(), 2u);
+  const std::vector<double> p(16, 2.0);
+  a.StepN(p, 64);
+  b.StepN(p, 64);
+  c.StepN(p, 64);
   // a and b advanced identically off the shared operators.
   EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-15);
 }
@@ -163,7 +160,7 @@ TEST(StepPropagator, OperatorShapesAndFiniteness) {
   // The zero-power, ambient-start fixed point: ambient state must map
   // exactly back to ambient (M_state*T_amb + c_amb == T_amb) -- checked
   // through the simulator at tight tolerance.
-  TransientSimulator sim(model, 1e-3, StepKernel::kPropagator);
+  TransientSimulator sim(model, 1e-3);
   const std::vector<double> zero(model.num_cores(), 0.0);
   sim.Step(zero);
   for (const double t : sim.state()) EXPECT_NEAR(t, model.ambient_c(), 1e-9);
