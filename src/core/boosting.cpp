@@ -18,26 +18,46 @@ BoostingSimulator::BoostingSimulator(const arch::Platform& platform,
       app_(&app),
       instances_(instances),
       threads_(threads),
+      activity_(app.Activity(threads)),
       estimator_(platform) {
   if (instances * threads > platform.num_cores())
     throw std::invalid_argument(
         "BoostingSimulator: workload does not fit the chip");
   active_set_ = SelectCores(platform, instances * threads, policy);
+  domain_of_.assign(platform.num_cores(), instances_);
+  for (std::size_t i = 0; i < active_set_.size(); ++i)
+    domain_of_[active_set_[i]] = i / threads_;
 }
 
-apps::Workload BoostingSimulator::WorkloadAtLevel(std::size_t level) const {
-  const power::VfLevel& vf = platform_->ladder()[level];
-  apps::Workload w;
-  w.AddN({app_, threads_, vf.freq, vf.vdd}, instances_);
-  return w;
+void BoostTally::AddPeriod(double gips, double power_w, double period_s) {
+  gips_acc_ += gips;
+  energy_j_ += power_w * period_s;
+  max_power_w_ = std::max(max_power_w_, power_w);
+}
+
+void BoostTally::AddPeak(double peak_c) {
+  max_temp_c_ = std::max(max_temp_c_, peak_c);
+}
+
+void BoostTally::Finish(std::size_t periods, double duration_s,
+                        BoostTrace* trace) const {
+  trace->avg_gips = gips_acc_ / static_cast<double>(periods);
+  trace->energy_j = energy_j_;
+  trace->avg_power_w = energy_j_ / duration_s;
+  trace->max_power_w = max_power_w_;
+  trace->max_temp_c = max_temp_c_;
+  trace->duration_s = duration_s;
 }
 
 double BoostingSimulator::GipsAtLevel(std::size_t level) const {
-  return WorkloadAtLevel(level).TotalGips();
+  return GipsAt({&level, 1});
 }
 
 Estimate BoostingSimulator::SteadyAtLevel(std::size_t level) const {
-  return estimator_.EvaluateWorkload(WorkloadAtLevel(level), active_set_);
+  const power::VfLevel& vf = platform_->ladder()[level];
+  apps::Workload w;
+  w.AddN({app_, threads_, vf.freq, vf.vdd}, instances_);
+  return estimator_.EvaluateWorkload(w, active_set_);
 }
 
 bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
@@ -60,82 +80,39 @@ bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
   return found;
 }
 
-BoostTrace BoostingSimulator::RunPerInstanceBoosting(
-    std::size_t start_level, double threshold_c, double power_cap_w,
-    double duration_s, double control_period_s) const {
-  const power::DvfsLadder& ladder = platform_->ladder();
-  const power::PowerModel& pm = platform_->power_model();
+BoostTrace BoostingSimulator::RunBoostLoop(std::size_t start_level,
+                                           std::size_t domains,
+                                           double duration_s,
+                                           double control_period_s,
+                                           const ControlRule& rule) const {
   const std::size_t n = platform_->num_cores();
+  std::vector<std::size_t> levels(domains, start_level);
   thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  {
-    std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-    for (int it = 0; it < 3; ++it) {
-      std::vector<double> p = CorePowers(start_level, temps);
-      sim.InitializeSteadyState(p);
-      temps = sim.DieTemps();
-    }
-  }
-
-  // Per-instance domain levels and core ownership.
-  std::vector<std::size_t> domain_level(instances_, start_level);
-  std::vector<std::size_t> domain_of(n, instances_);  // sentinel = dark
-  for (std::size_t i = 0; i < instances_; ++i)
-    for (std::size_t t = 0; t < threads_; ++t)
-      domain_of[active_set_[i * threads_ + t]] = i;
-  const double activity = app_->Activity(threads_);
-
-  auto powers_at = [&](const std::vector<double>& temps) {
-    std::vector<double> p(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      const std::size_t d = domain_of[c];
-      if (d == instances_) {
-        p[c] = pm.DarkCorePower(temps[c]);
-      } else {
-        const power::VfLevel& vf = ladder[domain_level[d]];
-        p[c] = pm.TotalPower(activity, app_->ceff22_nf, app_->pind22,
-                             vf.vdd, vf.freq, temps[c]);
-      }
-    }
-    return p;
-  };
+  // Warm start from the steady state of the starting level; a few
+  // fixed-point passes align initial leakage and state.
+  sim.SetState(platform_->solver().WarmStart(
+      [&](std::span<const double> temps, std::span<double> p) {
+        CorePowers(levels, temps, p);
+      },
+      3));
 
   const std::size_t steps =
       static_cast<std::size_t>(std::lround(duration_s / control_period_s));
-  BoostTrace trace;
-  trace.duration_s = duration_s;
   const std::size_t stride = std::max<std::size_t>(1, steps / 1000);
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-
+  BoostTrace trace;
+  BoostTally tally;
+  std::vector<double> powers(n);
+  double total_power = 0.0;
   for (std::size_t s = 0; s < steps; ++s) {
-    const std::vector<double> temps = sim.DieTemps();
-    // Per-domain control from each domain's hottest core.
-    double total_now = 0.0;
-    for (const double p : powers_at(temps)) total_now += p;
-    for (std::size_t d = 0; d < instances_; ++d) {
-      double hottest = 0.0;
-      for (std::size_t t = 0; t < threads_; ++t)
-        hottest =
-            std::max(hottest, temps[active_set_[d * threads_ + t]]);
-      if (hottest >= threshold_c) {
-        domain_level[d] = ladder.StepDown(domain_level[d]);
-      } else if (total_now < power_cap_w) {
-        domain_level[d] = ladder.StepUp(domain_level[d]);
-      }
-    }
-
-    const std::vector<double> powers = powers_at(temps);
-    double total_power = 0.0;
-    for (const double p : powers) total_power += p;
+    // Control decision from the state at the period start.
+    const std::span<const double> temps = sim.state().first(n);
+    rule({s, sim.time(), temps, sim.PeakDieTemp(), total_power, levels});
+    total_power = CorePowers(levels, temps, powers);
     sim.Step(powers);
 
-    double gips = 0.0;
-    for (std::size_t d = 0; d < instances_; ++d)
-      gips += app_->InstanceGips(threads_, ladder[domain_level[d]].freq);
-    gips_acc += gips;
-    energy_acc += total_power * control_period_s;
-    trace.max_power_w = std::max(trace.max_power_w, total_power);
-    trace.max_temp_c = std::max(trace.max_temp_c, sim.PeakDieTemp());
+    const double gips = GipsAt(levels);
+    tally.AddPeriod(gips, total_power, control_period_s);
+    tally.AddPeak(sim.PeakDieTemp());
     if (s % stride == 0) {
       trace.time_s.push_back(sim.time());
       trace.gips.push_back(gips);
@@ -143,10 +120,31 @@ BoostTrace BoostingSimulator::RunPerInstanceBoosting(
       trace.power_w.push_back(total_power);
     }
   }
-  trace.avg_gips = gips_acc / static_cast<double>(steps);
-  trace.energy_j = energy_acc;
-  trace.avg_power_w = energy_acc / duration_s;
+  tally.Finish(steps, duration_s, &trace);
   return trace;
+}
+
+BoostTrace BoostingSimulator::RunPerInstanceBoosting(
+    std::size_t start_level, double threshold_c, double power_cap_w,
+    double duration_s, double control_period_s) const {
+  const power::DvfsLadder& ladder = platform_->ladder();
+  return RunBoostLoop(
+      start_level, instances_, duration_s, control_period_s,
+      [&](const ControlPeriod& p) {
+        // Per-domain control from each domain's hottest core.
+        const double total_now = CorePowers(p.levels, p.die_temps, {});
+        for (std::size_t d = 0; d < instances_; ++d) {
+          double hottest = 0.0;
+          for (std::size_t t = 0; t < threads_; ++t)
+            hottest =
+                std::max(hottest, p.die_temps[active_set_[d * threads_ + t]]);
+          if (hottest >= threshold_c) {
+            p.levels[d] = ladder.StepDown(p.levels[d]);
+          } else if (total_now < power_cap_w) {
+            p.levels[d] = ladder.StepUp(p.levels[d]);
+          }
+        }
+      });
 }
 
 BoostTrace BoostingSimulator::RunRaplBoosting(std::size_t start_level,
@@ -156,72 +154,28 @@ BoostTrace BoostingSimulator::RunRaplBoosting(std::size_t start_level,
                                               double duration_s,
                                               double control_period_s) const {
   const power::DvfsLadder& ladder = platform_->ladder();
-  thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  {
-    std::vector<double> temps(platform_->num_cores(),
-                              platform_->thermal_model().ambient_c());
-    for (int it = 0; it < 3; ++it) {
-      std::vector<double> p = CorePowers(start_level, temps);
-      sim.InitializeSteadyState(p);
-      temps = sim.DieTemps();
-    }
-  }
-
-  std::size_t level = start_level;
   const double alpha = control_period_s / tau_s;  // EWMA coefficient
   double ewma = 0.0;
-  {
-    std::vector<double> temps = sim.DieTemps();
-    for (const double p : CorePowers(level, temps)) ewma += p;
-  }
-
-  const std::size_t steps =
-      static_cast<std::size_t>(std::lround(duration_s / control_period_s));
-  BoostTrace trace;
-  trace.duration_s = duration_s;
-  const std::size_t stride = std::max<std::size_t>(1, steps / 1000);
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-
-  for (std::size_t s = 0; s < steps; ++s) {
-    std::vector<double> temps = sim.DieTemps();
-    // Control: thermal backstop first, then the power-limit logic.
-    if (sim.PeakDieTemp() > threshold_c) {
-      level = ladder.StepDown(level);
-    } else if (ewma > pl1_w) {
-      level = ladder.StepDown(level);
-    } else {
-      const std::size_t up = ladder.StepUp(level);
-      if (up != level) {
-        const std::vector<double> p_up = CorePowers(up, temps);
-        double total_up = 0.0;
-        for (const double p : p_up) total_up += p;
-        if (total_up <= pl2_w) level = up;  // bursts may reach PL2
-      }
-    }
-
-    const std::vector<double> powers = CorePowers(level, temps);
-    double total_power = 0.0;
-    for (const double p : powers) total_power += p;
-    ewma += alpha * (total_power - ewma);
-    sim.Step(powers);
-
-    const double gips = GipsAtLevel(level);
-    gips_acc += gips;
-    energy_acc += total_power * control_period_s;
-    trace.max_power_w = std::max(trace.max_power_w, total_power);
-    trace.max_temp_c = std::max(trace.max_temp_c, sim.PeakDieTemp());
-    if (s % stride == 0) {
-      trace.time_s.push_back(sim.time());
-      trace.gips.push_back(gips);
-      trace.peak_temp_c.push_back(sim.PeakDieTemp());
-      trace.power_w.push_back(total_power);
-    }
-  }
-  trace.avg_gips = gips_acc / static_cast<double>(steps);
-  trace.energy_j = energy_acc;
-  trace.avg_power_w = energy_acc / duration_s;
-  return trace;
+  return RunBoostLoop(
+      start_level, 1, duration_s, control_period_s,
+      [&](const ControlPeriod& p) {
+        std::size_t& level = p.levels[0];
+        // Package power EWMA: seeded from the warm-start state, then
+        // fed each period's power.
+        if (p.index == 0)
+          ewma = CorePowers(p.levels, p.die_temps, {});
+        else
+          ewma += alpha * (p.last_power_w - ewma);
+        // Control: thermal backstop first, then the power-limit logic.
+        if (p.peak_c > threshold_c || ewma > pl1_w) {
+          level = ladder.StepDown(level);
+        } else {
+          const std::size_t up = ladder.StepUp(level);
+          // Bursts may reach PL2.
+          if (up != level && CorePowersAt(up, p.die_temps, {}) <= pl2_w)
+            level = up;
+        }
+      });
 }
 
 BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
@@ -284,21 +238,39 @@ BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
   return out;
 }
 
-std::vector<double> BoostingSimulator::CorePowers(
-    std::size_t level, const std::vector<double>& die_temps) const {
-  const power::VfLevel& vf = platform_->ladder()[level];
+double BoostingSimulator::CorePowers(std::span<const std::size_t> levels,
+                                     std::span<const double> die_temps,
+                                     std::span<double> powers) const {
+  const power::DvfsLadder& ladder = platform_->ladder();
   const power::PowerModel& pm = platform_->power_model();
-  const double activity = app_->Activity(threads_);
-  std::vector<double> p(platform_->num_cores());
-  std::vector<bool> active(platform_->num_cores(), false);
-  for (const std::size_t i : active_set_) active[i] = true;
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = active[i]
-               ? pm.TotalPower(activity, app_->ceff22_nf, app_->pind22,
-                               vf.vdd, vf.freq, die_temps[i])
-               : pm.DarkCorePower(die_temps[i]);
+  // One level drives every domain under chip-wide DVFS.
+  const bool chip_wide = levels.size() == 1;
+  double total = 0.0;
+  for (std::size_t c = 0; c < domain_of_.size(); ++c) {
+    const std::size_t d = domain_of_[c];
+    double p;
+    if (d == instances_) {
+      p = pm.DarkCorePower(die_temps[c]);
+    } else {
+      const power::VfLevel& vf = ladder[levels[chip_wide ? 0 : d]];
+      p = pm.TotalPower(activity_, app_->ceff22_nf, app_->pind22, vf.vdd,
+                        vf.freq, die_temps[c]);
+    }
+    if (!powers.empty()) powers[c] = p;
+    total += p;
   }
-  return p;
+  return total;
+}
+
+double BoostingSimulator::GipsAt(std::span<const std::size_t> levels) const {
+  const power::DvfsLadder& ladder = platform_->ladder();
+  const bool chip_wide = levels.size() == 1;
+  double gips = 0.0;
+  for (std::size_t d = 0; d < instances_; ++d) {
+    const power::VfLevel& vf = ladder[levels[chip_wide ? 0 : d]];
+    gips += app_->InstanceGips(threads_, vf.freq);
+  }
+  return gips;
 }
 
 BoostTrace BoostingSimulator::RunConstant(std::size_t level,
@@ -327,16 +299,14 @@ BoostTrace BoostingSimulator::RunConstant(std::size_t level,
 }
 
 std::size_t BoostingSimulator::NextBoostLevel(
-    std::size_t level, double peak_c, const std::vector<double>& die_temps,
+    std::size_t level, double peak_c, std::span<const double> die_temps,
     double threshold_c, double power_cap_w) const {
   const power::DvfsLadder& ladder = platform_->ladder();
   if (peak_c >= threshold_c) return ladder.StepDown(level);
   const std::size_t up = ladder.StepUp(level);
   if (up == level) return level;
   // Respect the electrical power constraint at the higher level.
-  double total_up = 0.0;
-  for (const double p : CorePowers(up, die_temps)) total_up += p;
-  return total_up <= power_cap_w ? up : level;
+  return CorePowersAt(up, die_temps, {}) <= power_cap_w ? up : level;
 }
 
 BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
@@ -348,63 +318,21 @@ BoostTrace BoostingSimulator::RunBoosting(std::size_t start_level,
                     ds::telemetry::TraceLevel::kSpan, "duration_s",
                     duration_s);
   const power::DvfsLadder& ladder = platform_->ladder();
-  thermal::TransientSimulator sim = platform_->MakeTransient(control_period_s);
-  {
-    // Warm start from the steady state of the starting level.
-    std::vector<double> temps(platform_->num_cores(),
-                              platform_->thermal_model().ambient_c());
-    // A couple of fixed-point passes align initial leakage and state.
-    for (int it = 0; it < 3; ++it) {
-      std::vector<double> p = CorePowers(start_level, temps);
-      sim.InitializeSteadyState(p);
-      temps = sim.DieTemps();
-    }
-  }
-
-  std::size_t level = start_level;
-  const std::size_t steps =
-      static_cast<std::size_t>(std::lround(duration_s / control_period_s));
-  BoostTrace trace;
-  trace.duration_s = duration_s;
-  const std::size_t stride = std::max<std::size_t>(1, steps / 1000);
-
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-  for (std::size_t s = 0; s < steps; ++s) {
-    // Control decision from the state at the period start.
-    const std::vector<double> temps = sim.DieTemps();
-    const std::size_t prev_level = level;
-    level = NextBoostLevel(level, sim.PeakDieTemp(), temps, threshold_c,
-                           power_cap_w);
-    if (level != prev_level) {
-      DS_TELEM_COUNT("boost.level_changes", 1);
-      ds::telemetry::EmitInstant(
-          "controller", level > prev_level ? "boost_up" : "boost_down",
-          ds::telemetry::TraceLevel::kDecision, "freq_ghz",
-          ladder[level].freq, "sim_time_s", sim.time());
-    }
-
-    const std::vector<double> powers = CorePowers(level, temps);
-    double total_power = 0.0;
-    for (const double p : powers) total_power += p;
-    sim.Step(powers);
-
-    const double gips = GipsAtLevel(level);
-    gips_acc += gips;
-    energy_acc += total_power * control_period_s;
-    trace.max_power_w = std::max(trace.max_power_w, total_power);
-    trace.max_temp_c = std::max(trace.max_temp_c, sim.PeakDieTemp());
-    if (s % stride == 0) {
-      trace.time_s.push_back(sim.time());
-      trace.gips.push_back(gips);
-      trace.peak_temp_c.push_back(sim.PeakDieTemp());
-      trace.power_w.push_back(total_power);
-    }
-  }
-  trace.avg_gips = gips_acc / static_cast<double>(steps);
-  trace.energy_j = energy_acc;
-  trace.avg_power_w = energy_acc / duration_s;
-  return trace;
+  return RunBoostLoop(
+      start_level, 1, duration_s, control_period_s,
+      [&](const ControlPeriod& p) {
+        std::size_t& level = p.levels[0];
+        const std::size_t prev_level = level;
+        level = NextBoostLevel(level, p.peak_c, p.die_temps, threshold_c,
+                               power_cap_w);
+        if (level != prev_level) {
+          DS_TELEM_COUNT("boost.level_changes", 1);
+          ds::telemetry::EmitInstant(
+              "controller", level > prev_level ? "boost_up" : "boost_down",
+              ds::telemetry::TraceLevel::kDecision, "freq_ghz",
+              ladder[level].freq, "sim_time_s", p.time_s);
+        }
+      });
 }
 
 }  // namespace ds::core

@@ -7,9 +7,15 @@
 // highest level whose *steady-state* peak temperature stays below the
 // threshold (and whose power stays below the electrical budget), i.e.
 // "a few degrees below critical due to the available v/f steps".
+//
+// The closed loops (chip-wide, per-instance, RAPL) share one driver,
+// RunBoostLoop (warm start, stepping, BoostTally); only their decision
+// rules differ.
 #pragma once
 
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "apps/app_profile.hpp"
@@ -33,6 +39,27 @@ struct BoostTrace {
   double max_temp_c = 0.0;
   double energy_j = 0.0;
   double duration_s = 0.0;
+};
+
+/// Per-period accumulation of a boost loop into a BoostTrace's
+/// aggregates. BoostingSimulator's loops and the batched boost_transient
+/// runner (runtime/scenarios.cpp) both tally through it.
+class BoostTally {
+ public:
+  /// One control period of `period_s` at `gips` under `power_w` total.
+  void AddPeriod(double gips, double power_w, double period_s);
+  /// Folds a peak die temperature into max_temp_c.
+  void AddPeak(double peak_c);
+  /// Writes the aggregates of `periods` periods lasting `duration_s` in
+  /// total into `trace` (its time series are left alone).
+  void Finish(std::size_t periods, double duration_s,
+              BoostTrace* trace) const;
+
+ private:
+  double gips_acc_ = 0.0;
+  double energy_j_ = 0.0;
+  double max_power_w_ = 0.0;
+  double max_temp_c_ = 0.0;
 };
 
 /// Simulates a homogeneous workload (m instances of one application,
@@ -105,15 +132,13 @@ class BoostingSimulator {
   /// Aggregate performance [GIPS] of the workload at a ladder level.
   double GipsAtLevel(std::size_t level) const;
 
-  /// Per-core power vector of the active mapping at `level` given the
-  /// current die temperatures (leakage feedback) -- the same numbers
-  /// the internal closed loops step with. Public for the batched
-  /// transient boosting runner (runtime/scenarios.cpp),
-  /// which drives cohort members through a shared lockstep stepper
-  /// outside this class.
-  std::vector<double> CorePowersAt(
-      std::size_t level, const std::vector<double>& die_temps) const {
-    return CorePowers(level, die_temps);
+  /// Per-core powers with every instance at `level` (chip-wide DVFS) at
+  /// the given die temperatures (leakage feedback), written into
+  /// `powers` (num_cores; empty: total only). Returns the total. The
+  /// closed loops and the batched boost_transient runner step with it.
+  double CorePowersAt(std::size_t level, std::span<const double> die_temps,
+                      std::span<double> powers) const {
+    return CorePowers({&level, 1}, die_temps, powers);
   }
 
   /// One Turbo-Boost control decision, taken from the state at the
@@ -122,7 +147,7 @@ class BoostingSimulator {
   /// `die_temps` fits `power_cap_w`. Returns the next level. RunBoosting
   /// and the batched boost_transient runner both decide through this.
   std::size_t NextBoostLevel(std::size_t level, double peak_c,
-                             const std::vector<double>& die_temps,
+                             std::span<const double> die_temps,
                              double threshold_c, double power_cap_w) const;
 
   /// Steady-state estimate at a ladder level (power, peak temperature).
@@ -131,15 +156,42 @@ class BoostingSimulator {
   std::size_t active_cores() const { return active_set_.size(); }
 
  private:
-  apps::Workload WorkloadAtLevel(std::size_t level) const;
-  std::vector<double> CorePowers(std::size_t level,
-                                 const std::vector<double>& die_temps) const;
+  /// A control period's state at its start, handed to a loop's decision
+  /// rule, which updates `levels`: one per DVFS domain, or one for the
+  /// whole chip.
+  struct ControlPeriod {
+    std::size_t index;
+    double time_s;
+    std::span<const double> die_temps;
+    double peak_c;
+    double last_power_w;  // total power of the previous period
+    std::span<std::size_t> levels;
+  };
+  using ControlRule = std::function<void(const ControlPeriod&)>;
+
+  /// The one boost loop: warm start from the steady state of
+  /// `start_level`, then `duration_s` of control periods under `rule`
+  /// with `domains` levels (1 = chip-wide, instances_ = per instance).
+  BoostTrace RunBoostLoop(std::size_t start_level, std::size_t domains,
+                          double duration_s, double control_period_s,
+                          const ControlRule& rule) const;
+
+  /// Per-core powers of the domain `levels` (see ControlPeriod) into
+  /// `powers` (or total only when empty); returns the total.
+  double CorePowers(std::span<const std::size_t> levels,
+                    std::span<const double> die_temps,
+                    std::span<double> powers) const;
+  /// Aggregate GIPS of the instances at the domain `levels`.
+  double GipsAt(std::span<const std::size_t> levels) const;
 
   const arch::Platform* platform_;
   const apps::AppProfile* app_;
   std::size_t instances_;
   std::size_t threads_;
+  double activity_;
   std::vector<std::size_t> active_set_;
+  /// Instance (DVFS domain) of each core; instances_ marks a dark core.
+  std::vector<std::size_t> domain_of_;
   DarkSiliconEstimator estimator_;
 };
 

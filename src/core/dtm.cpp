@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "faults/sensor_bus.hpp"
@@ -87,17 +88,15 @@ DtmResult DtmSimulator::Run(DtmPolicy policy, std::size_t start_level,
   const double gips_per_core =
       app_->InstanceGips(threads_, 1.0) / static_cast<double>(threads_);
 
-  auto core_powers = [&](std::size_t lvl,
-                         const std::vector<double>& temps) {
+  auto core_powers = [&](std::size_t lvl, std::span<const double> temps,
+                         std::span<double> p) {
     const power::VfLevel& vf = ladder[lvl];
-    std::vector<double> p(n);
     for (std::size_t c = 0; c < n; ++c) {
       p[c] = down[c] ? 0.0
              : on[c] ? pm.TotalPower(activity, app_->ceff22_nf, app_->pind22,
                                      vf.vdd, vf.freq, temps[c])
                      : pm.DarkCorePower(temps[c]);
     }
-    return p;
   };
   auto current_gips = [&](std::size_t lvl) {
     std::size_t alive = 0;
@@ -112,21 +111,14 @@ DtmResult DtmSimulator::Run(DtmPolicy policy, std::size_t start_level,
   // is exactly the situation the paper describes -- a mapping admitted
   // by an optimistic TDP whose steady state violates T_DTM.
   {
-    std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-    for (int it = 0; it < 3; ++it) {
-      const bool inject_solver_fault =
-          injector != nullptr && injector->ConsumeSolverFault();
-      if (sim.InitializeSteadyStateRobust(core_powers(start_level, temps),
-                                          inject_solver_fault)) {
-        ++result.solver_retries;
-        if (injector)
-          injector->log().Record(
-              0.0, faults::FaultEventKind::kMitigated,
-              faults::FaultKind::kSolverNonConvergence, faults::kNoCore,
-              0.0, "warm start retried with perturbed pivoting");
-      }
-      temps = sim.DieTemps();
-    }
+    DS_TELEM_SPAN("thermal", "warm_start", ds::telemetry::TraceLevel::kSpan);
+    sim.SetState(platform_->solver().WarmStart(
+        [&](std::span<const double> temps, std::span<double> p) {
+          core_powers(start_level, temps, p);
+        },
+        3,
+        faults::SolverFaultHooks(injector.get(), 0.0,
+                                 &result.solver_retries)));
   }
 
   result.nominal_gips = current_gips(start_level);
@@ -136,6 +128,7 @@ DtmResult DtmSimulator::Run(DtmPolicy policy, std::size_t start_level,
   const std::size_t stride = std::max<std::size_t>(1, steps / 500);
   double gips_acc = 0.0;
   bool was_safe = false;
+  std::vector<double> powers(n);
 
   for (std::size_t s = 0; s < steps; ++s) {
     DS_TELEM_COUNT("dtm.control_steps", 1);
@@ -208,7 +201,8 @@ DtmResult DtmSimulator::Run(DtmPolicy policy, std::size_t start_level,
     if (true_peak > t_crit) result.time_above_critical_s += control_period_s;
     if (bus.InSafeState()) result.safe_state_s += control_period_s;
 
-    sim.Step(core_powers(level, temps));
+    core_powers(level, temps, powers);
+    sim.Step(powers);
     const double gips = current_gips(level);
     gips_acc += gips;
     result.max_temp_c = std::max(result.max_temp_c, sim.PeakDieTemp());

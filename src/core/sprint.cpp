@@ -1,6 +1,8 @@
 #include "core/sprint.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 #include "thermal/transient.hpp"
@@ -31,26 +33,22 @@ SprintResult SprintAnalysis::Measure(const apps::AppProfile& app,
   const std::vector<bool> mask = ActiveMask(n, active);
   const double activity = app.Activity(threads);
 
-  auto powers_at = [&](const std::vector<double>& temps, double scale) {
-    std::vector<double> p(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      p[c] = mask[c]
-                 ? scale * pm.TotalPower(activity, app.ceff22_nf, app.pind22,
-                                         vf.vdd, vf.freq, temps[c])
-                 : pm.DarkCorePower(temps[c]);
-    }
-    return p;
+  // Per-core powers at `scale` of the sprint power on the active cores.
+  auto powers_at = [&](double scale) {
+    return [&, scale](std::span<const double> temps, std::span<double> p) {
+      for (std::size_t c = 0; c < n; ++c) {
+        p[c] = mask[c] ? scale * pm.TotalPower(activity, app.ceff22_nf,
+                                               app.pind22, vf.vdd, vf.freq,
+                                               temps[c])
+                       : pm.DarkCorePower(temps[c]);
+      }
+    };
   };
 
+  const thermal::SteadyStateSolver& solver = platform_->solver();
   thermal::TransientSimulator sim = platform_->MakeTransient(dt_s);
   // Background state: steady state at idle_fraction of the sprint power.
-  {
-    std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-    for (int it = 0; it < 3; ++it) {
-      sim.InitializeSteadyState(powers_at(temps, idle_fraction));
-      temps = sim.DieTemps();
-    }
-  }
+  sim.SetState(solver.WarmStart(powers_at(idle_fraction), 3));
 
   SprintResult result;
   result.start_peak_c = sim.PeakDieTemp();
@@ -58,15 +56,10 @@ SprintResult SprintAnalysis::Measure(const apps::AppProfile& app,
       static_cast<double>(instances) * app.InstanceGips(threads, vf.freq);
 
   // Where would the sprint settle? (Fixed point at full power.)
-  {
-    std::vector<double> temps(n, platform_->thermal_model().ambient_c());
-    thermal::TransientSimulator probe = platform_->MakeTransient(dt_s);
-    for (int it = 0; it < 5; ++it) {
-      probe.InitializeSteadyState(powers_at(temps, 1.0));
-      temps = probe.DieTemps();
-    }
-    result.steady_peak_c = probe.PeakDieTemp();
-  }
+  const std::vector<double> settled = solver.WarmStart(powers_at(1.0), 5);
+  result.steady_peak_c =
+      *std::max_element(settled.begin(),
+                        settled.begin() + static_cast<std::ptrdiff_t>(n));
   if (result.steady_peak_c <= t_dtm) {
     result.unlimited = true;
     result.duration_s = max_duration_s;
@@ -76,9 +69,11 @@ SprintResult SprintAnalysis::Measure(const apps::AppProfile& app,
 
   const std::size_t max_steps =
       static_cast<std::size_t>(std::lround(max_duration_s / dt_s));
+  const auto sprint_powers = powers_at(1.0);
+  std::vector<double> powers(n);
   for (std::size_t s = 0; s < max_steps; ++s) {
-    const std::vector<double> temps = sim.DieTemps();
-    sim.Step(powers_at(temps, 1.0));
+    sprint_powers(sim.state().first(n), powers);
+    sim.Step(powers);
     if (sim.PeakDieTemp() >= t_dtm) {
       result.duration_s = sim.time();
       return result;

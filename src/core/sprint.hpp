@@ -34,7 +34,8 @@ class SprintAnalysis {
   /// `level`, mapped by `policy`. The chip starts from the steady state
   /// of `idle_fraction` of the sprint power (0 = fully cooled chip,
   /// 1 = already at the sprint's steady state).
-  /// `max_duration_s` bounds the search.
+  /// `max_duration_s` bounds the search. The background state and the
+  /// settled peak are warm starts on the platform's shared solver.
   SprintResult Measure(const apps::AppProfile& app, std::size_t instances,
                        std::size_t threads, std::size_t level,
                        double idle_fraction = 0.0,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "telemetry/scoped.hpp"
+#include "thermal/steady_state.hpp"
 #include "util/contracts.hpp"
 #include "util/table.hpp"
 
@@ -352,6 +353,23 @@ bool FaultInjector::ConsumeSolverFault() {
               FaultKind::kSolverNonConvergence, kNoCore, 0.0,
               "steady-state solve declared non-convergent");
   return true;
+}
+
+thermal::WarmStartHooks SolverFaultHooks(FaultInjector* injector,
+                                         double now_s, std::size_t* retries) {
+  thermal::WarmStartHooks hooks;
+  if (injector != nullptr)
+    hooks.inject_failure = [injector] {
+      return injector->ConsumeSolverFault();
+    };
+  hooks.on_retry = [injector, now_s, retries] {
+    ++*retries;
+    if (injector != nullptr)
+      injector->log().Record(now_s, FaultEventKind::kMitigated,
+                             FaultKind::kSolverNonConvergence, kNoCore, 0.0,
+                             "warm start retried with perturbed pivoting");
+  };
+  return hooks;
 }
 
 }  // namespace ds::faults

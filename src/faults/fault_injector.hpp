@@ -29,6 +29,10 @@
 
 #include "util/rng.hpp"
 
+namespace ds::thermal {
+struct WarmStartHooks;
+}
+
 namespace ds::faults {
 
 /// Sentinel core index for chip-wide events.
@@ -233,5 +237,11 @@ class FaultInjector {
   std::size_t dvfs_stuck_level_ = 0;
   bool dvfs_fault_mitigation_logged_ = false;
 };
+
+/// Warm-start hooks of a closed loop: each pass draws ConsumeSolverFault()
+/// from `injector` (nullable: no injection); each retry counts into
+/// `*retries` and is logged as mitigated at `now_s`.
+thermal::WarmStartHooks SolverFaultHooks(FaultInjector* injector,
+                                         double now_s, std::size_t* retries);
 
 }  // namespace ds::faults

@@ -161,48 +161,40 @@ struct BtMember {
   std::size_t handle = 0;  // BatchStepPropagator member handle
   std::size_t level = 0;
   bool stepping = false;  // in the lockstep loop (not skipped/detached)
-  double gips_acc = 0.0;
-  double energy_acc = 0.0;
-  double max_power_w = 0.0;
-  double max_temp_c = 0.0;
+  core::BoostTally tally;
 };
 
 /// Per-control-period control decision + power update for one member,
-/// read from and written to the member's panel column. The decision is
-/// BoostingSimulator::NextBoostLevel, the one RunBoosting takes.
+/// read from and written to the member's panel column: RunBoosting's
+/// decision (NextBoostLevel), per-core powers and tally. The tally
+/// takes the peak at the period start, so with BtFinishMember's final
+/// peak a member's max_temp_c runs over peaks 0..N, the post-settle
+/// peak included.
 void BtControlStep(BtMember& m, thermal::BatchStepPropagator& batch,
-                   double dt_s, std::vector<double>& temps_buf,
-                   std::vector<double>& powers_buf) {
+                   double dt_s, std::vector<double>& powers_buf) {
   const double peak = batch.PeakDieTemp(m.handle);
-  auto member_state = batch.MemberState(m.handle);
-  temps_buf.assign(member_state.begin(),
-                   member_state.begin() +
-                       static_cast<std::ptrdiff_t>(
-                           m.platform->num_cores()));
-  m.level = m.sim->NextBoostLevel(m.level, peak, temps_buf,
+  const std::span<const double> temps =
+      batch.MemberState(m.handle).first(m.platform->num_cores());
+  m.level = m.sim->NextBoostLevel(m.level, peak, temps,
                                   m.platform->tdtm_c(), m.p->power_cap_w);
-  powers_buf = m.sim->CorePowersAt(m.level, temps_buf);
-  double total_power = 0.0;
-  for (const double w : powers_buf) total_power += w;
+  const double total_power = m.sim->CorePowersAt(m.level, temps, powers_buf);
   batch.SetPowers(m.handle, powers_buf);
-
-  const double gips = m.sim->GipsAtLevel(m.level);
-  m.gips_acc += gips;
-  m.energy_acc += total_power * dt_s;
-  m.max_power_w = std::max(m.max_power_w, total_power);
-  m.max_temp_c = std::max(m.max_temp_c, peak);
+  m.tally.AddPeriod(m.sim->GipsAtLevel(m.level), total_power, dt_s);
+  m.tally.AddPeak(peak);
 }
 
 void BtFinishMember(BtMember& m, thermal::BatchStepPropagator& batch,
                     std::size_t steps, double duration_s) {
   const double peak = batch.PeakDieTemp(m.handle);
-  m.max_temp_c = std::max(m.max_temp_c, peak);
+  m.tally.AddPeak(peak);
+  core::BoostTrace t;
+  m.tally.Finish(steps, duration_s, &t);
   m.result->metrics = {
-      {"avg_gips", m.gips_acc / static_cast<double>(steps)},
-      {"avg_power_w", m.energy_acc / duration_s},
-      {"energy_j", m.energy_acc},
-      {"max_power_w", m.max_power_w},
-      {"max_temp_c", m.max_temp_c},
+      {"avg_gips", t.avg_gips},
+      {"avg_power_w", t.avg_power_w},
+      {"energy_j", t.energy_j},
+      {"max_power_w", t.max_power_w},
+      {"max_temp_c", t.max_temp_c},
       {"final_peak_c", peak},
       {"final_freq_ghz", m.platform->ladder()[m.level].freq},
   };
@@ -275,7 +267,6 @@ void RunBoostTransientCohort(
   // Shared scratch, hoisted out of every loop: member phases fully
   // overwrite them, so sharing is safe and the hot path stays
   // allocation-light.
-  std::vector<double> temps_buf;
   std::vector<double> powers_buf;
   std::vector<double> state_buf;
 
@@ -298,20 +289,14 @@ void RunBoostTransientCohort(
         continue;
       }
       m.level = level;
-      // Leakage/temperature fixed point, as in BoostingSimulator's
-      // closed loops, on the cache-shared solver; SteadyStateSolver is
-      // deterministic, so every lane and cohort size starts from
-      // bitwise the same state.
-      const thermal::SteadyStateSolver& solver = m.platform->solver();
-      temps_buf.assign(m.platform->num_cores(),
-                       m.platform->thermal_model().ambient_c());
-      for (int it = 0; it < 3; ++it) {
-        powers_buf = m.sim->CorePowersAt(level, temps_buf);
-        state_buf = solver.SolveFull(powers_buf);
-        temps_buf.assign(state_buf.begin(),
-                         state_buf.begin() + static_cast<std::ptrdiff_t>(
-                                                 m.platform->num_cores()));
-      }
+      // The warm start of BoostingSimulator's loops, on the cache-shared
+      // solver: every lane and cohort size starts from bitwise the same
+      // state, stepping under the last pass's powers.
+      state_buf = m.platform->solver().WarmStart(
+          [&](std::span<const double> temps, std::span<double> powers) {
+            m.sim->CorePowersAt(level, temps, powers);
+          },
+          3, {}, &powers_buf);
       if (batch == nullptr) {
         // One folded propagator serves the whole cohort; the shared
         // PropagatorSet memoizes it across cohorts and sweep threads.
@@ -352,7 +337,7 @@ void RunBoostTransientCohort(
         continue;
       }
       try {
-        BtControlStep(m, *batch, dt_s, temps_buf, powers_buf);
+        BtControlStep(m, *batch, dt_s, powers_buf);
         ++stepping;
       } catch (...) {
         if (!cohort_mode) throw;

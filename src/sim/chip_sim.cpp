@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 #include "apps/app_profile.hpp"
@@ -264,28 +265,24 @@ FullSimResult ChipSimulator::Run() const {
       // thermal effect for the first ~30 s of simulated time).
       if (step == 0 && !running.empty()) {
         const power::VfLevel& vf0 = ladder[level];
-        std::vector<double> p0(n);
-        const std::vector<double> t0 = thermal.DieTemps();
-        for (std::size_t c = 0; c < n; ++c)
-          p0[c] = noc_power[c] + pm.DarkCorePower(t0[c]);
-        for (const Job& job : running) {
-          for (const std::size_t c : job.cores) {
-            p0[c] = noc_power[c] +
-                    pm.TotalPower(job.app->Activity(threads),
-                                  job.app->ceff22_nf, job.app->pind22,
-                                  vf0.vdd, vf0.freq, t_dtm);
-          }
-        }
-        const bool inject_solver_fault =
-            injector != nullptr && injector->ConsumeSolverFault();
-        if (thermal.InitializeSteadyStateRobust(p0, inject_solver_fault)) {
-          ++result.solver_retries;
-          if (injector)
-            injector->log().Record(
-                now_s, faults::FaultEventKind::kMitigated,
-                faults::FaultKind::kSolverNonConvergence, faults::kNoCore,
-                0.0, "warm start retried with perturbed pivoting");
-        }
+        DS_TELEM_SPAN("thermal", "warm_start",
+                      ds::telemetry::TraceLevel::kSpan);
+        thermal.SetState(platform_->solver().WarmStart(
+            [&](std::span<const double> t0, std::span<double> p0) {
+              for (std::size_t c = 0; c < n; ++c)
+                p0[c] = noc_power[c] + pm.DarkCorePower(t0[c]);
+              for (const Job& job : running) {
+                for (const std::size_t c : job.cores) {
+                  p0[c] = noc_power[c] +
+                          pm.TotalPower(job.app->Activity(threads),
+                                        job.app->ceff22_nf, job.app->pind22,
+                                        vf0.vdd, vf0.freq, t_dtm);
+                }
+              }
+            },
+            1,
+            faults::SolverFaultHooks(injector.get(), now_s,
+                                     &result.solver_retries)));
       }
     }
 

@@ -20,11 +20,8 @@ std::vector<double> SteadyStateSolver::SolveFull(
                                            << " (heat sources are >= 0)");
   DS_TELEM_COUNT("thermal.steady_solves", 1);
   DS_TELEM_TIMER("thermal.steady_solve_us");
-  std::vector<double> rhs = model_->ExpandPower(core_powers);
-  const auto& amb_g = model_->ambient_conductance();
+  std::vector<double> temps = lu_.Solve(Rhs(core_powers));
   const double t_amb = model_->ambient_c();
-  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += amb_g[i] * t_amb;
-  std::vector<double> temps = lu_.Solve(rhs);
   // Physical sanity of the solution: with non-negative sources, an
   // M-matrix network can only sit at or above the ambient.
   for (std::size_t i = 0; i < temps.size(); ++i)
@@ -32,6 +29,52 @@ std::vector<double> SteadyStateSolver::SolveFull(
               "SteadyStateSolver: node " << i << " solved to " << temps[i]
                                          << " C below ambient " << t_amb);
   return temps;
+}
+
+std::vector<double> SteadyStateSolver::Rhs(
+    std::span<const double> core_powers) const {
+  std::vector<double> rhs = model_->ExpandPower(core_powers);
+  const auto& amb_g = model_->ambient_conductance();
+  const double t_amb = model_->ambient_c();
+  for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += amb_g[i] * t_amb;
+  return rhs;
+}
+
+std::vector<double> SteadyStateSolver::WarmStart(
+    const PowersAtTemps& powers_at, int passes, const WarmStartHooks& hooks,
+    std::vector<double>* powers_out) const {
+  DS_REQUIRE(passes >= 1,
+             "SteadyStateSolver::WarmStart: " << passes << " passes");
+  const std::size_t n = model_->num_cores();
+  std::vector<double> powers(n);
+  std::vector<double> state(model_->num_nodes(), model_->ambient_c());
+  for (int pass = 0; pass < passes; ++pass) {
+    powers_at(std::span<const double>(state).first(n), powers);
+    try {
+      if (hooks.inject_failure && hooks.inject_failure())
+        throw util::SolverError(
+            "SteadyStateSolver::WarmStart: injected non-convergence");
+      // A non-finite direct solution fails SolveFull's postcondition.
+      state = SolveFull(powers);
+    } catch (const util::SolverError&) {
+      // Retry with perturbed pivoting: regularizes a (near-)singular
+      // conductance factorization at O(pivot_floor) accuracy cost.
+      DS_TELEM_COUNT("thermal.solver_retries", 1);
+      ds::telemetry::EmitInstant("thermal", "solver_retry",
+                                 ds::telemetry::TraceLevel::kDecision);
+      const util::LuFactorization lu(model_->conductance(),
+                                     /*pivot_floor=*/1e-10);
+      state = lu.Solve(Rhs(powers));
+      for (const double t : state)
+        if (!std::isfinite(t))
+          throw util::SolverError(
+              "SteadyStateSolver::WarmStart: steady-state solve failed "
+              "even with perturbed pivoting");
+      if (hooks.on_retry) hooks.on_retry();
+    }
+  }
+  if (powers_out != nullptr) *powers_out = std::move(powers);
+  return state;
 }
 
 std::vector<double> SteadyStateSolver::Solve(

@@ -23,6 +23,19 @@
 
 namespace ds::thermal {
 
+/// Per-core powers [W] at die temperatures [C], written into `powers`;
+/// both spans are num_cores long. The leakage feedback of a warm start.
+using PowersAtTemps = std::function<void(std::span<const double> die_temps,
+                                         std::span<double> powers)>;
+
+/// Optional fault hooks of SteadyStateSolver::WarmStart, per pass:
+/// `inject_failure` is asked before the solve (true forces the retry),
+/// `on_retry` is told when the retry produced the pass's state.
+struct WarmStartHooks {
+  std::function<bool()> inject_failure;
+  std::function<void()> on_retry;
+};
+
 class SteadyStateSolver {
  public:
   /// Factors the conductance matrix of `model` (O(n^3), done once).
@@ -46,6 +59,20 @@ class SteadyStateSolver {
       std::vector<double>* out_powers = nullptr, int max_iters = 50,
       double tol_c = 1e-4) const;
 
+  /// Leakage/temperature warm start: from ambient die temperatures,
+  /// `passes` rounds of powers_at(T) -> steady state. A pass whose solve
+  /// throws util::SolverError, or that hooks.inject_failure forces, is
+  /// retried once on a perturbed-pivot factorization of G; a non-finite
+  /// retry throws util::SolverError. Returns all node temperatures of
+  /// the last pass (install with TransientSimulator::SetState) and
+  /// writes that pass's powers to `powers_out` (optional). Without a
+  /// retry the result is bitwise independent of which solver instance
+  /// of the model runs it.
+  std::vector<double> WarmStart(const PowersAtTemps& powers_at, int passes,
+                                const WarmStartHooks& hooks = {},
+                                std::vector<double>* powers_out = nullptr)
+      const;
+
   /// Lazily computed influence matrix A (num_cores x num_cores).
   /// Thread-safe: concurrent first calls build A exactly once (solvers
   /// are shared across sweep jobs by runtime::ModelCache).
@@ -59,6 +86,9 @@ class SteadyStateSolver {
   const RcModel& model() const { return *model_; }
 
  private:
+  /// Right-hand side of G T = P + g_amb T_amb for the core powers.
+  std::vector<double> Rhs(std::span<const double> core_powers) const;
+
   const RcModel* model_;
   util::LuFactorization lu_;
   mutable std::once_flag influence_once_;

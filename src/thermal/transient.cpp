@@ -4,18 +4,10 @@
 #include <stdexcept>
 
 #include "telemetry/scoped.hpp"
-#include "thermal/steady_state.hpp"
 #include "util/contracts.hpp"
-#include "util/lu.hpp"
 
 namespace ds::thermal {
 namespace {
-
-bool AllFinite(std::span<const double> v) {
-  for (const double x : v)
-    if (!std::isfinite(x)) return false;
-  return true;
-}
 
 /// Folds (or fetches the shared) step propagator, after checking dt
 /// here so a bad step names this class, not the propagator.
@@ -43,54 +35,12 @@ TransientSimulator::TransientSimulator(  // ds_lint: allow(missing-contract)
 }
 
 void TransientSimulator::Reset() {
-  lane_.SetState(0, std::vector<double>(model_->num_nodes(),
-                                        model_->ambient_c()));
-  time_ = 0.0;
+  SetState(std::vector<double>(model_->num_nodes(), model_->ambient_c()));
 }
 
-void TransientSimulator::InitializeSteadyState(
-    std::span<const double> core_powers) {
-  const SteadyStateSolver solver(*model_);
-  lane_.SetState(0, solver.SolveFull(core_powers));
+void TransientSimulator::SetState(std::span<const double> state) {
+  lane_.SetState(0, state);
   time_ = 0.0;
-}
-
-bool TransientSimulator::InitializeSteadyStateRobust(
-    std::span<const double> core_powers, bool inject_failure) {
-  DS_TELEM_SPAN("thermal", "warm_start", ds::telemetry::TraceLevel::kSpan);
-  try {
-    if (inject_failure)
-      throw util::SolverError(
-          "InitializeSteadyStateRobust: injected non-convergence");
-    const SteadyStateSolver solver(*model_);
-    std::vector<double> solution = solver.SolveFull(core_powers);
-    if (!AllFinite(solution))
-      throw util::SolverError(
-          "InitializeSteadyStateRobust: non-finite steady state");
-    lane_.SetState(0, solution);
-    time_ = 0.0;
-    return false;
-  } catch (const util::SolverError&) {
-    // Retry with perturbed pivoting: regularizes a (near-)singular
-    // conductance factorization at O(pivot_floor) accuracy cost.
-    DS_TELEM_COUNT("thermal.solver_retries", 1);
-    ds::telemetry::EmitInstant("thermal", "solver_retry",
-                               ds::telemetry::TraceLevel::kDecision);
-    const util::LuFactorization lu(model_->conductance(),
-                                   /*pivot_floor=*/1e-10);
-    std::vector<double> rhs = model_->ExpandPower(core_powers);
-    const auto& amb_g = model_->ambient_conductance();
-    const double t_amb = model_->ambient_c();
-    for (std::size_t i = 0; i < rhs.size(); ++i) rhs[i] += amb_g[i] * t_amb;
-    std::vector<double> solution = lu.Solve(rhs);
-    if (!AllFinite(solution))
-      throw util::SolverError(
-          "InitializeSteadyStateRobust: steady-state solve failed even "
-          "with perturbed pivoting");
-    lane_.SetState(0, solution);
-    time_ = 0.0;
-    return true;
-  }
 }
 
 void TransientSimulator::Step(std::span<const double> core_powers) {

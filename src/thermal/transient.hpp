@@ -43,19 +43,10 @@ class TransientSimulator {
   /// Resets all node temperatures to the ambient.
   void Reset();
 
-  /// Sets the state to the steady-state solution of `core_powers`
-  /// (useful to skip the multi-second package warm-up).
-  void InitializeSteadyState(std::span<const double> core_powers);
-
-  /// Hardened warm start: like InitializeSteadyState, but validates
-  /// that the solution is finite and, when the direct solve fails (or
-  /// `inject_failure` forces the failure path), retries once with a
-  /// perturbed-pivot factorization before throwing util::SolverError.
-  /// Returns true when the retry path produced the state -- callers log
-  /// that as a mitigation. The fault-free path is numerically identical
-  /// to InitializeSteadyState.
-  bool InitializeSteadyStateRobust(std::span<const double> core_powers,
-                                   bool inject_failure = false);
+  /// Sets every node temperature to `state` (num_nodes values) and the
+  /// clock to 0. The simulator solves no steady states: a warm start is
+  /// a SteadyStateSolver::WarmStart result installed here.
+  void SetState(std::span<const double> state);
 
   /// Advances one step under the given per-core powers.
   /// Throws std::invalid_argument if any power is NaN/non-finite (a

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
@@ -254,7 +255,12 @@ TEST(BatchStepPropagator, TransientSimulatorIsTheK1Lane) {
   const auto set = std::make_shared<const PropagatorSet>();
   const auto prop = set->For(model, 1e-3);
   TransientSimulator sim(model, 1e-3, set);
-  sim.InitializeSteadyState(PowerPattern(model.num_cores(), 0, 0));
+  sim.SetState(SteadyStateSolver(model).WarmStart(
+      [&](std::span<const double>, std::span<double> out) {
+        const std::vector<double> p0 = PowerPattern(model.num_cores(), 0, 0);
+        std::copy(p0.begin(), p0.end(), out.begin());
+      },
+      1));
 
   BatchStepPropagator cohort(prop, 4);
   ASSERT_EQ(cohort.AddMember(InitialState(model.num_nodes(), 1)), 0u);

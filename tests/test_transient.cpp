@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
@@ -12,8 +15,17 @@ namespace {
 
 class TransientTest : public ::testing::Test {
  protected:
-  TransientTest() : model_(Floorplan::MakeGrid(16, 5.1)) {}
+  TransientTest() : model_(Floorplan::MakeGrid(16, 5.1)), solver_(model_) {}
+  /// One-pass warm start at constant powers: the steady state of `p`.
+  std::vector<double> SteadyState(const std::vector<double>& p) const {
+    return solver_.WarmStart(
+        [&](std::span<const double>, std::span<double> out) {
+          std::copy(p.begin(), p.end(), out.begin());
+        },
+        1);
+  }
   RcModel model_;
+  SteadyStateSolver solver_;
 };
 
 TEST_F(TransientTest, StartsAtAmbient) {
@@ -54,10 +66,12 @@ TEST_F(TransientTest, ConvergesToSteadyState) {
   EXPECT_LT(util::MaxAbsDiffVec(transient, steady), 0.05);
 }
 
-TEST_F(TransientTest, InitializeSteadyStateIsAFixedPoint) {
+// The warm start installed with SetState (powers independent of
+// temperature, so one pass is the exact steady state) does not drift.
+TEST_F(TransientTest, WarmStartStateIsAFixedPoint) {
   TransientSimulator sim(model_, 1e-3);
   std::vector<double> p(16, 2.5);
-  sim.InitializeSteadyState(p);
+  sim.SetState(SteadyState(p));
   const std::vector<double> before = sim.DieTemps();
   sim.StepN(p, 10);
   EXPECT_LT(util::MaxAbsDiffVec(sim.DieTemps(), before), 1e-9);
@@ -66,7 +80,7 @@ TEST_F(TransientTest, InitializeSteadyStateIsAFixedPoint) {
 TEST_F(TransientTest, CoolsBackTowardAmbientWhenPowerRemoved) {
   TransientSimulator sim(model_, 0.1);
   const std::vector<double> p(16, 4.0);
-  sim.InitializeSteadyState(p);
+  sim.SetState(SteadyState(p));
   const double hot = sim.PeakDieTemp();
   const std::vector<double> zero(16, 0.0);
   sim.StepN(zero, 600);  // 60 s, ~4 package time constants
