@@ -5,10 +5,10 @@
 //
 // The main() is custom: before the google-benchmark run it executes a
 // hand-timed harness over the thermal kernels -- the single-state step
-// (TransientSimulator, the k = 1 panel lane), k-step power-hold vs
-// explicit steps, blocked multi-RHS influence build vs per-column
-// solves, and batched lockstep cohorts (BatchStepPropagator) vs k
-// independent TransientSimulators at k in {4, 16, 64} -- and records
+// (TransientSimulator, the k = 1 panel lane), blocked multi-RHS
+// influence build vs per-column solves, and batched lockstep cohorts
+// (BatchStepPropagator) vs k independent TransientSimulators at k in
+// {4, 16, 64} -- and records
 // the measured costs and speedups in BENCH_thermal.json (path
 // override: DS_BENCH_THERMAL_JSON). CI runs this as a smoke step and
 // archives the JSON, so a kernel regression shows up as a speedup
@@ -36,7 +36,6 @@
 #include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
-#include "util/kernels.hpp"
 #include "util/lu.hpp"
 
 namespace {
@@ -90,31 +89,6 @@ void BM_TransientStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TransientStep);
-
-// k-step power hold: one memoized operator application per iteration,
-// advancing range(0) simulated steps.
-void BM_StepHold(benchmark::State& state) {
-  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3);
-  const std::vector<double> p(100, 2.5);
-  const std::size_t k = static_cast<std::size_t>(state.range(0));
-  sim.StepN(p, k);  // build + memoize outside the timing
-  for (auto _ : state) {
-    sim.StepN(p, k);
-    benchmark::DoNotOptimize(sim.PeakDieTemp());
-  }
-}
-BENCHMARK(BM_StepHold)->Arg(10)->Arg(100)->Arg(1000);
-
-void BM_GemvStateOperator(benchmark::State& state) {
-  const thermal::StepPropagator prop(Plat16().thermal_model(), 1e-3);
-  const std::size_t n = prop.num_nodes();
-  std::vector<double> x(n, 45.0), y(n, 0.0);
-  for (auto _ : state) {
-    util::Gemv(prop.state_operator(), x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-}
-BENCHMARK(BM_GemvStateOperator);
 
 // Influence-matrix construction cost: one blocked multi-RHS solve over
 // all unit-injection columns vs the per-column loop it replaced.
@@ -217,7 +191,6 @@ bool FastMode() {
 
 struct ThermalReport {
   double step_us = 0.0;
-  double hold_us_per_step = 0.0;
   double influence_ms_solve_many = 0.0;
   double influence_ms_per_column = 0.0;
   // Batched lockstep stepping (one BatchStepPropagator cohort) vs k
@@ -245,15 +218,6 @@ double MeasureStepUs(std::size_t steps) {
                     1e6 * timer.Seconds() / static_cast<double>(steps));
   }
   return best;
-}
-
-double MeasureHoldUsPerStep(std::size_t k, std::size_t reps) {
-  thermal::TransientSimulator sim(Plat16().thermal_model(), 1e-3);
-  const std::vector<double> p(100, 2.5);
-  sim.StepN(p, k);  // memoize the operator
-  const telemetry::WallTimer timer;
-  for (std::size_t r = 0; r < reps; ++r) sim.StepN(p, k);
-  return 1e6 * timer.Seconds() / static_cast<double>(reps * k);
 }
 
 /// Aggregate per-member-step cost of k INDEPENDENT TransientSimulators
@@ -331,16 +295,13 @@ void WriteThermalReport(const ThermalReport& r) {
   std::snprintf(
       body, sizeof(body),
       "{\n"
-      "  \"schema_version\": 3,\n"
+      "  \"schema_version\": 4,\n"
       "  \"git\": \"%s\",\n"
       "  \"step_us\": %.4f,\n"
-      "  \"hold_us_per_step\": %.4f,\n"
-      "  \"hold_speedup_vs_step_loop\": %.3f,\n"
       "  \"influence_ms_solve_many\": %.4f,\n"
       "  \"influence_ms_per_column\": %.4f,\n"
       "  \"influence_speedup\": %.3f",
-      git, r.step_us, r.hold_us_per_step,
-      ratio(r.step_us, r.hold_us_per_step), r.influence_ms_solve_many,
+      git, r.step_us, r.influence_ms_solve_many,
       r.influence_ms_per_column,
       ratio(r.influence_ms_per_column, r.influence_ms_solve_many));
   std::string doc(body);
@@ -374,7 +335,6 @@ bool RunThermalHarness() {
   ThermalReport r;
   const std::size_t steps = FastMode() ? 500 : 2000;
   r.step_us = MeasureStepUs(steps);
-  r.hold_us_per_step = MeasureHoldUsPerStep(1000, FastMode() ? 20 : 100);
   r.influence_ms_solve_many =
       MeasureInfluenceMs(/*solve_many=*/true, FastMode() ? 5 : 20);
   r.influence_ms_per_column =

@@ -54,6 +54,10 @@ DtmResult DtmSimulator::Run(DtmPolicy policy, std::size_t start_level,
              "DtmSimulator: duration_s " << duration_s
                  << " must be positive");
   options.Validate();
+  DS_REQUIRE(std::lround(duration_s / options.control_period_s) >= 1,
+             "DtmSimulator: duration_s " << duration_s
+                 << " covers no control step of "
+                 << options.control_period_s << " s");
   DS_TELEM_SPAN_ARG("controller", "dtm_run", ds::telemetry::TraceLevel::kSpan,
                     "duration_s", duration_s);
   const double control_period_s = options.control_period_s;

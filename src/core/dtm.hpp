@@ -89,8 +89,8 @@ class DtmSimulator {
   }
 
   /// Full-option run, including the fault-injection scenario. Throws
-  /// std::invalid_argument for a non-positive duration or invalid
-  /// options.
+  /// std::invalid_argument for a non-positive duration, a duration that
+  /// covers no control step, or invalid options.
   DtmResult Run(DtmPolicy policy, std::size_t start_level,
                 double duration_s, const DtmRunOptions& options) const;
 

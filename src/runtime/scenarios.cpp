@@ -145,9 +145,12 @@ void RunBoost(const SweepPoint& p, ModelCache& cache, JobResult* result) {
 }
 
 /// boost_transient: settle steps at the base level between the steady
-/// warm start and the closed loop. Advanced through the batched hold
-/// operator (one application) on every lane, so the hold fast path is
-/// exercised in production, not just in benches.
+/// warm start and the closed loop. The warm start is the steady state
+/// under the base-level powers the members step with, so the settle
+/// moves it only by rounding: the controller's first reading is a state
+/// the step operator produced, not the LU solve's. The count is part of
+/// the kind's definition; its rows (sweep CSVs, ledger reference) are
+/// recorded with it.
 constexpr std::size_t kBtSettleSteps = 8;
 
 /// One boost_transient member's control state. The platform lives on
@@ -321,9 +324,9 @@ void RunBoostTransientCohort(
 
   if (batch == nullptr) return;  // every member skipped or detached
 
-  // Settle segment at the base level: one batched hold application
-  // bridges the steady warm start and the closed loop.
-  batch->StepN(kBtSettleSteps);
+  // Settle segment at the base level between the steady warm start and
+  // the closed loop.
+  for (std::size_t s = 0; s < kBtSettleSteps; ++s) batch->Step();
 
   for (std::size_t s = 0; s < steps; ++s) {
     std::size_t stepping = 0;

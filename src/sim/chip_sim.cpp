@@ -34,6 +34,10 @@ void SimConfig::Validate() const {
   DS_REQUIRE(control_period_s > 0.0 && std::isfinite(control_period_s),
              "SimConfig: control_period_s " << control_period_s
                  << " must be positive");
+  DS_REQUIRE(std::lround(duration_s / control_period_s) >= 1,
+             "SimConfig: duration_s " << duration_s
+                 << " covers no control step of " << control_period_s
+                 << " s");
   DS_REQUIRE(scheduler_period_s > 0.0 && std::isfinite(scheduler_period_s),
              "SimConfig: scheduler_period_s " << scheduler_period_s
                  << " must be positive");
@@ -75,7 +79,11 @@ FullSimResult ChipSimulator::Run() const {
       config_.enable_boost ? ladder.size() - 1 : nominal;
 
   util::Rng rng(config_.seed);
-  std::poisson_distribution<int> arrivals(config_.arrival_rate);
+  // std::poisson_distribution needs a positive mean: at rate 0 no
+  // arrivals are drawn at all.
+  const bool draw_arrivals = config_.arrival_rate > 0.0;
+  std::poisson_distribution<int> arrivals(
+      draw_arrivals ? config_.arrival_rate : 1.0);
   thermal::TransientSimulator thermal =
       platform_->MakeTransient(config_.control_period_s);
   const noc::MeshNoc mesh(platform_->floorplan());
@@ -207,7 +215,7 @@ FullSimResult ChipSimulator::Run() const {
         }
       }
       // Arrivals (plus the initial burst at t = 0).
-      int k = arrivals(rng.engine());
+      int k = draw_arrivals ? arrivals(rng.engine()) : 0;
       if (step == 0) k += static_cast<int>(config_.initial_jobs);
       for (int i = 0; i < k; ++i) {
         Job job;

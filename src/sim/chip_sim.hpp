@@ -55,9 +55,10 @@ struct SimConfig {
   std::uint64_t seed = 1;
   faults::FaultConfig faults;     // disabled by default (zero-cost off)
 
-  /// Rejects non-positive durations/periods, inverted job-length
-  /// bounds, zero threads and non-finite rates with
-  /// std::invalid_argument. Called by the ChipSimulator constructor.
+  /// Rejects non-positive durations/periods, a duration that covers no
+  /// control step, inverted job-length bounds, zero threads and
+  /// non-finite rates with std::invalid_argument. Called by the
+  /// ChipSimulator constructor.
   void Validate() const;
 };
 

@@ -21,7 +21,6 @@ void RunSummary::CollectTelemetry() {
       Registry().GetCounter("thermal.batch.cohort_members").value();
   batch_gemm_steps = Registry().GetCounter("thermal.batch.gemm_steps").value();
   batch_gemv_steps = Registry().GetCounter("thermal.batch.gemv_steps").value();
-  batch_hold_steps = Registry().GetCounter("thermal.batch.hold_steps").value();
   batch_detached = Registry().GetCounter("thermal.batch.detached").value();
   cache_evictions = Registry().GetCounter("modelcache.evictions").value();
   cache_bytes =
@@ -66,7 +65,6 @@ void RunSummary::Print(std::ostream& os) const {
   }
   if (batch_gemm_steps > 0) line("batch GEMM steps", batch_gemm_steps);
   if (batch_gemv_steps > 0) line("batch GEMV steps", batch_gemv_steps);
-  if (batch_hold_steps > 0) line("batch hold steps", batch_hold_steps);
   if (batch_detached > 0) line("batch detached", batch_detached);
   if (journal_corrupt_records > 0)
     line("journal corrupt recs", journal_corrupt_records);
@@ -117,7 +115,6 @@ void RunSummary::WriteJson(std::ostream& os) const {
   field("batch_cohort_members", static_cast<double>(batch_cohort_members));
   field("batch_gemm_steps", static_cast<double>(batch_gemm_steps));
   field("batch_gemv_steps", static_cast<double>(batch_gemv_steps));
-  field("batch_hold_steps", static_cast<double>(batch_hold_steps));
   field("batch_detached", static_cast<double>(batch_detached));
   field("cache_evictions", static_cast<double>(cache_evictions));
   field("cache_bytes", static_cast<double>(cache_bytes));

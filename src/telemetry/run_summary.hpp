@@ -49,13 +49,11 @@ struct RunSummary {
   // Lockstep batching (thermal.batch.* counters): cohorts formed and
   // the jobs they carried, panel passes split by width (GEMM-shaped
   // k >= 2 vs the k = 1 GEMV-shaped scalar lane, in member-steps),
-  // batched power-hold member-steps, and members detached from a
-  // cohort back to the scalar retry ladder.
+  // and members detached from a cohort back to the scalar retry ladder.
   std::uint64_t batch_cohorts = 0;
   std::uint64_t batch_cohort_members = 0;
   std::uint64_t batch_gemm_steps = 0;
   std::uint64_t batch_gemv_steps = 0;
-  std::uint64_t batch_hold_steps = 0;
   std::uint64_t batch_detached = 0;
 
   // ModelCache budget accounting (modelcache.* counter/gauge): entries

@@ -31,10 +31,6 @@ BatchStepPropagator::BatchStepPropagator(
       scratch_(prop_->num_nodes(), k_max),
       powers_(prop_->num_cores(), k_max) {
   DS_REQUIRE(k_max >= 1, "BatchStepPropagator: k_max must be >= 1");
-  // Resolve (and lazily build, first cohort only) the shared transposed
-  // operators outside the stepping hot path.
-  state_t_ = &prop_->state_operator_t();
-  in_t_ = &prop_->input_operator_t();
   col_of_member_.reserve(k_max);
   member_of_col_.reserve(k_max);
 }
@@ -129,34 +125,11 @@ void BatchStepPropagator::Step() {
     DS_TELEM_COUNT("thermal.batch.gemm_steps", k_);
   else
     DS_TELEM_COUNT("thermal.batch.gemv_steps", 1);
-  util::PanelApplyT(*state_t_, state_, k_, &scratch_);
-  util::PanelApplyAddT(*in_t_, powers_, k_, &scratch_);
+  util::PanelApplyT(prop_->state_operator_t(), state_, k_, &scratch_);
+  util::PanelApplyAddT(prop_->input_operator_t(), powers_, k_, &scratch_);
   util::PanelAddBroadcast(prop_->ambient_operator(), k_, &scratch_);
   state_.swap(scratch_);
   ++steps_;
-}
-
-void BatchStepPropagator::StepN(std::size_t n) {
-  if (n == 0 || k_ == 0) {
-    steps_ += n;
-    return;
-  }
-  if (n == 1) {
-    Step();
-    return;
-  }
-  // The memoized Hold(n) operator shared by every lane over this
-  // propagator: one batched affine application advances every member
-  // n steps.
-  const std::shared_ptr<const StepPropagator::HoldOperator> hold =
-      prop_->Hold(n);
-  DS_TELEM_COUNT("thermal.batch.panel_steps", 1);
-  DS_TELEM_COUNT("thermal.batch.hold_steps", k_ * n);
-  util::PanelApplyT(hold->t_op_t, state_, k_, &scratch_);
-  util::PanelApplyAddT(hold->in_op_t, powers_, k_, &scratch_);
-  util::PanelAddBroadcast(hold->amb_op, k_, &scratch_);
-  state_.swap(scratch_);
-  steps_ += n;
 }
 
 }  // namespace ds::thermal

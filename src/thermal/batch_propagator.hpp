@@ -15,8 +15,7 @@
 // Determinism: the panel kernels compute every output element with a
 // fixed, k-independent summation order in an IEEE (no fast-math) TU,
 // so a member's trajectory is bitwise identical at any cohort size,
-// k = 1 included. Hold(n) operators are memoized inside the shared
-// propagator, so every lane over one (model, dt) reuses them.
+// k = 1 included.
 //
 // Membership is dynamic: a job that hits its deadline, gets cancelled,
 // or throws detaches mid-flight (swap-last column compaction, safe
@@ -36,9 +35,7 @@ namespace ds::thermal {
 
 /// Advances up to k_max state columns in lockstep over one shared
 /// StepPropagator. Not thread-safe: one instance per worker/cohort.
-/// Allocation-free after construction (panels are pre-sized to k_max;
-/// Hold(n) may allocate once per distinct n inside the shared
-/// propagator's memoized cache).
+/// Allocation-free after construction (panels are pre-sized to k_max).
 class BatchStepPropagator {
  public:
   /// An invalid member handle (returned by none; useful as a sentinel).
@@ -87,11 +84,6 @@ class BatchStepPropagator {
   /// M_state and M_in plus the ambient broadcast. No-op at k() == 0.
   void Step();
 
-  /// n lockstep steps under each member's current (constant) powers.
-  /// n > 1 routes through the propagator's memoized Hold(n) operator:
-  /// one batched application instead of n. No-op at n == 0.
-  void StepN(std::size_t n);
-
   /// Steps advanced so far (per member; members step in lockstep).
   std::size_t steps() const { return steps_; }
 
@@ -99,10 +91,6 @@ class BatchStepPropagator {
   std::size_t ColumnOf(std::size_t member) const;
 
   std::shared_ptr<const StepPropagator> prop_;
-  // Transposed step operators, cached inside the shared propagator
-  // (built lazily once per (model, dt)); valid as long as prop_ lives.
-  const util::Matrix* state_t_ = nullptr;
-  const util::Matrix* in_t_ = nullptr;
   std::size_t k_ = 0;
   std::size_t steps_ = 0;
   util::ColPanel state_;    // n x k_max, column j = member state

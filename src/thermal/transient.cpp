@@ -51,15 +51,6 @@ void TransientSimulator::Step(std::span<const double> core_powers) {
   time_ += dt_;
 }
 
-void TransientSimulator::StepN(std::span<const double> core_powers,
-                               std::size_t n) {
-  if (n == 0) return;
-  DS_TELEM_TIMER("thermal.transient_hold_us");
-  lane_.SetPowers(0, core_powers);
-  lane_.StepN(n);
-  time_ += static_cast<double>(n) * dt_;
-}
-
 std::vector<double> TransientSimulator::DieTemps() const {
   const std::span<const double> s = state();
   return {s.begin(),

@@ -12,8 +12,8 @@
 // T' = M_state T + M_in P + c_amb (thermal/propagator.hpp), and a
 // TransientSimulator is the k = 1 lane of a BatchStepPropagator
 // (thermal/batch_propagator.hpp): its state is the lane's one panel
-// column, and every Step / StepN runs the same panel kernels as a
-// sweep cohort. A simulator's trajectory is therefore bitwise equal to
+// column, and every Step runs the same panel kernels as a sweep
+// cohort. A simulator's trajectory is therefore bitwise equal to
 // the same scenario's inside a cohort of any width. Propagators are
 // shared across simulators (and sweep threads) through PropagatorSet.
 #pragma once
@@ -53,12 +53,6 @@ class TransientSimulator {
   /// NaN would otherwise propagate silently through the implicit-Euler
   /// step and poison the whole state vector).
   void Step(std::span<const double> core_powers);
-
-  /// Advances `n` steps with constant powers in one application of the
-  /// memoized n-step hold operator. Matches n explicit Step() calls to
-  /// rounding error (tested at 1e-9 C); the trajectory between the
-  /// endpoints is not materialized. No-op at n == 0.
-  void StepN(std::span<const double> core_powers, std::size_t n);
 
   /// Current die temperatures [C].
   std::vector<double> DieTemps() const;

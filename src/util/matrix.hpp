@@ -15,7 +15,7 @@
 namespace ds::util {
 
 /// Dense row-major matrix of doubles. The backing store is 64-byte
-/// aligned (util/aligned.hpp) so the blocked GEMV/GEMM kernels and the
+/// aligned (util/aligned.hpp) so the panel stepping kernels and the
 /// multi-RHS triangular solves stream split-free cache lines.
 ///
 /// Invariant: data_.size() == rows_ * cols_ at all times.

@@ -96,7 +96,7 @@ class ColPanel {
 
 /// out_j = A x_j for the first k panel columns, with the operator
 /// supplied TRANSPOSED: at(c, i) = A(i, c), so at is n_in x m_out
-/// row-major (StepPropagator caches these copies). Requires
+/// row-major (StepPropagator stores its operators this way). Requires
 /// x.n() == at.rows(), out.n() == at.cols(), and
 /// k <= min(x.k_max(), out.k_max()); x and out must not alias.
 /// Allocation-free; the per-element fold order is fixed and

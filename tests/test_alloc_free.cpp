@@ -1,8 +1,8 @@
 // Allocation-freedom regression test for the transient stepping hot
 // path. Built as its own binary (not part of ds_tests) because it
 // replaces the global allocator with a counting one: after warm-up,
-// TransientSimulator::Step / StepN (the k = 1 panel lane) and a
-// cohort's held BatchStepPropagator::StepN must perform ZERO heap
+// TransientSimulator::Step (the k = 1 panel lane) and a k > 1
+// cohort's BatchStepPropagator::Step must perform ZERO heap
 // allocations. This is the enforcement for the per-step-allocation fix
 // -- a reintroduced std::vector in the step path fails here, not in a
 // profile three PRs later.
@@ -71,9 +71,9 @@ TEST(AllocFree, PropagatorStepAllocatesNothing) {
             0u);
 }
 
-// The k-step hold of a 4-member cohort (the boost_transient settle
-// segment) once Hold(50) is memoized.
-TEST(AllocFree, StepHoldAllocatesNothingOnceOperatorIsMemoized) {
+// One lockstep step of a 4-member cohort (the k > 1 lanes of the
+// boost_transient sweep).
+TEST(AllocFree, CohortStepAllocatesNothing) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   BatchStepPropagator cohort(
       std::make_shared<const StepPropagator>(model, 1e-3), /*k_max=*/4);
@@ -81,20 +81,9 @@ TEST(AllocFree, StepHoldAllocatesNothingOnceOperatorIsMemoized) {
   const std::vector<double> p(16, 2.0);
   for (std::size_t j = 0; j < 4; ++j)
     cohort.SetPowers(cohort.AddMember(init), p);
-  cohort.StepN(50);  // builds + memoizes Hold(50)
+  cohort.Step();  // warm-up (first telemetry-site touch, lazily, if any)
   EXPECT_EQ(AllocsDuring([&] {
-              for (int i = 0; i < 100; ++i) cohort.StepN(50);
-            }),
-            0u);
-}
-
-TEST(AllocFree, StepNAllocatesNothingAfterWarmup) {
-  const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  TransientSimulator sim(model, 1e-3);
-  const std::vector<double> p(16, 2.0);
-  sim.StepN(p, 25);  // memoizes Hold(25)
-  EXPECT_EQ(AllocsDuring([&] {
-              for (int i = 0; i < 100; ++i) sim.StepN(p, 25);
+              for (int i = 0; i < 1000; ++i) cohort.Step();
             }),
             0u);
 }

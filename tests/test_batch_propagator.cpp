@@ -5,10 +5,10 @@
 // panel kernels, which is the determinism contract behind the sweep
 // engine's byte-identical CSV promise at any --batch-max-k.
 // Also covered: mid-cohort detachment (swap-last compaction leaves
-// survivors untouched bitwise), the memoized Hold(n) panel path,
-// mixed-dt cohorts off one PropagatorSet, and a TSan-hammered
-// concurrent-cohort run over one shared propagator (lazy transposed-
-// operator build and Hold(n) memoization race-free).
+// survivors untouched bitwise), mixed-dt cohorts off one
+// PropagatorSet, and a TSan-hammered run of threads racing the first
+// fold of one (model, dt) and then stepping over the one shared,
+// immutable propagator.
 #include "thermal/batch_propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -180,38 +180,6 @@ TEST(BatchStepPropagator, DetachLeavesSurvivorsBitwiseUnchanged) {
   EXPECT_THROW((void)detach.MemberState(1), ContractViolation);
 }
 
-TEST(BatchStepPropagator, StepNHoldPathMatchesExplicitSteps) {
-  const RcModel model(Floorplan::MakeGrid(16, 5.1));
-  const auto prop = MakeProp(model, 1e-3);
-  for (const std::size_t n : {2u, 7u, 64u}) {
-    BatchStepPropagator held(prop, 3);
-    BatchStepPropagator stepped(prop, 3);
-    for (std::size_t j = 0; j < 3; ++j) {
-      held.AddMember(InitialState(model.num_nodes(), j));
-      stepped.AddMember(InitialState(model.num_nodes(), j));
-      const std::vector<double> p = PowerPattern(model.num_cores(), j, 0);
-      held.SetPowers(j, p);
-      stepped.SetPowers(j, p);
-    }
-    held.StepN(n);
-    for (std::size_t s = 0; s < n; ++s) stepped.Step();
-    std::vector<double> a(model.num_nodes()), b(model.num_nodes());
-    for (std::size_t j = 0; j < 3; ++j) {
-      held.CopyState(j, a);
-      stepped.CopyState(j, b);
-      EXPECT_LT(MaxAbsDiff(a, b), 1e-9) << "n=" << n << " member " << j;
-    }
-    EXPECT_EQ(held.steps(), stepped.steps());
-    // And the held member stays within rounding error of n oracle
-    // steps.
-    EulerOracle oracle(model, 1e-3, InitialState(model.num_nodes(), 0));
-    const std::vector<double> p = PowerPattern(model.num_cores(), 0, 0);
-    for (std::size_t s = 0; s < n; ++s) oracle.Step(p);
-    EXPECT_LT(MaxAbsDiff(held.MemberState(0), oracle.state()), 1e-9)
-        << "n=" << n;
-  }
-}
-
 TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
   const RcModel model(Floorplan::MakeGrid(9, 5.1));
   // One PropagatorSet, two dt cohorts -- the engine keys cohorts by
@@ -249,7 +217,7 @@ TEST(BatchStepPropagator, MixedDtCohortsStayIndependent) {
 
 // TransientSimulator is the k = 1 lane: its trajectory is bitwise the
 // same member's inside a 4-wide cohort whose other members carry
-// different states and powers, through single steps and holds alike.
+// different states and powers, under varying and constant powers.
 TEST(BatchStepPropagator, TransientSimulatorIsTheK1Lane) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   const auto set = std::make_shared<const PropagatorSet>();
@@ -279,11 +247,14 @@ TEST(BatchStepPropagator, TransientSimulatorIsTheK1Lane) {
     cohort.SetPowers(1, p);
     cohort.Step();
   }
+  // 25 more at constant powers.
   const std::vector<double> p = PowerPattern(model.num_cores(), 0, 99);
-  sim.StepN(p, 25);
   step_others(99);
   cohort.SetPowers(1, p);
-  cohort.StepN(25);
+  for (std::size_t s = 0; s < 25; ++s) {
+    sim.Step(p);
+    cohort.Step();
+  }
 
   EXPECT_TRUE(BitwiseEqual(sim.state(), cohort.MemberState(1)));
   EXPECT_EQ(sim.PeakDieTemp(), cohort.PeakDieTemp(1));
@@ -312,49 +283,56 @@ TEST(BatchStepPropagator, RejectsBadInputs) {
   EXPECT_THROW((void)batch.PeakDieTemp(7), ContractViolation);
 }
 
-// TSan target: many cohorts over ONE shared propagator. Construction
-// races on the lazy transposed-operator build; StepN races on the
-// memoized Hold(n) build, which per-thread TransientSimulators on the
-// same set hit too.
+// TSan target: threads race the first PropagatorSet::For of one
+// (model, dt), then each steps a cohort and a scalar-lane simulator
+// over what it got. Every thread must get the one instance and reach
+// bitwise the serial trajectory: the propagator is immutable, so
+// sharing it needs no lock.
 TEST(BatchStepPropagator, ConcurrentCohortsOverSharedPropagator) {
   const RcModel model(Floorplan::MakeGrid(16, 5.1));
   const auto set = std::make_shared<const PropagatorSet>();
-  const auto prop = set->For(model, 1e-3);
-
-  // Reference trajectory computed serially first.
-  BatchStepPropagator ref(prop, 4);
-  for (std::size_t j = 0; j < 4; ++j) {
-    ref.AddMember(InitialState(model.num_nodes(), j));
-    ref.SetPowers(j, PowerPattern(model.num_cores(), j, 0));
-  }
-  for (std::size_t s = 0; s < 10; ++s) ref.Step();
-  ref.StepN(16);
-
   constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kSteps = 26;
+  const auto run_cohort = [&](std::shared_ptr<const StepPropagator> prop,
+                              std::vector<double>* out) {
+    BatchStepPropagator b(std::move(prop), 4);
+    for (std::size_t j = 0; j < 4; ++j) {
+      b.AddMember(InitialState(model.num_nodes(), j));
+      b.SetPowers(j, PowerPattern(model.num_cores(), j, 0));
+    }
+    for (std::size_t s = 0; s < kSteps; ++s) b.Step();
+    out->resize(model.num_nodes());
+    b.CopyState(0, *out);
+  };
+
+  std::vector<std::shared_ptr<const StepPropagator>> props(kThreads);
   std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::vector<double>> scalar_got(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      BatchStepPropagator b(prop, 4);
-      for (std::size_t j = 0; j < 4; ++j) {
-        b.AddMember(InitialState(model.num_nodes(), j));
-        b.SetPowers(j, PowerPattern(model.num_cores(), j, 0));
-      }
-      // Interleave with a scalar-lane simulator sharing the same
-      // memoized holds, mimicking a sweep where scalar and batched
-      // workers coexist.
+      props[t] = set->For(model, 1e-3);
+      run_cohort(props[t], &got[t]);
+      // A scalar-lane simulator over the same set, as in a sweep where
+      // scalar and batched workers coexist.
       TransientSimulator scalar(model, 1e-3, set);
-      for (std::size_t s = 0; s < 10; ++s) b.Step();
-      scalar.StepN(PowerPattern(model.num_cores(), t, 1), 16);
-      b.StepN(16);
-      got[t].resize(model.num_nodes());
-      b.CopyState(0, got[t]);
+      for (std::size_t s = 0; s < kSteps; ++s)
+        scalar.Step(PowerPattern(model.num_cores(), 0, 0));
+      scalar_got[t].assign(scalar.state().begin(), scalar.state().end());
     });
   }
   for (std::thread& w : workers) w.join();
-  for (std::size_t t = 0; t < kThreads; ++t)
-    EXPECT_TRUE(BitwiseEqual(got[t], ref.MemberState(0))) << "thread " << t;
+
+  EXPECT_EQ(set->size(), 1u);
+  std::vector<double> ref;
+  run_cohort(set->For(model, 1e-3), &ref);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(props[t].get(), props[0].get()) << "thread " << t;
+    EXPECT_TRUE(BitwiseEqual(got[t], ref)) << "thread " << t;
+    EXPECT_TRUE(BitwiseEqual(scalar_got[t], scalar_got[0]))
+        << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -95,5 +95,15 @@ TEST(ChipSim, AgingAccruesAndStaysBalancedUnderRotation) {
   EXPECT_LT(r.aging_imbalance, 3.0);
 }
 
+// 0.4 ms at a 1 ms control period rounds to zero control steps; the
+// averages would divide by it.
+TEST(ChipSim, RejectsDurationCoveringNoControlStep) {
+  SimConfig cfg = Quick(4e-4);
+  EXPECT_THROW(cfg.Validate(), std::invalid_argument);
+  EXPECT_THROW(ChipSimulator(Plat16(), cfg), std::invalid_argument);
+  cfg.duration_s = 1e-3;
+  EXPECT_NO_THROW(cfg.Validate());
+}
+
 }  // namespace
 }  // namespace ds::sim

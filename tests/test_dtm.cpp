@@ -78,5 +78,14 @@ TEST(Dtm, PolicyNames) {
                "shutdown-hottest");
 }
 
+// A duration shorter than half a control period runs zero steps, and
+// the average GIPS would divide by that.
+TEST(Dtm, RejectsDurationCoveringNoControlStep) {
+  const DtmSimulator sim(Plat16(), apps::AppByName("x264"), 4, 8);
+  const std::size_t nominal = Plat16().ladder().NominalLevel();
+  EXPECT_THROW(sim.Run(DtmPolicy::kThrottleGlobal, nominal, 4e-4),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ds::core

@@ -1,10 +1,7 @@
-// Blocked GEMV/GEMM kernels and the multi-RHS LU solve, checked
-// against naive reference implementations on sizes chosen to exercise
-// every blocking remainder: the 4-row register block (sizes 1..5), the
-// 256-column panel (sizes straddling kKernelColBlock) and the 128-wide
-// RHS panels of SolveMany.
-#include "util/kernels.hpp"
-
+// The multi-RHS LU solve (the kernel under the step-propagator fold
+// and the influence matrix), checked against one-column solves and a
+// naive product on sizes that straddle the 128-wide RHS panels of
+// SolveMany.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,13 +42,6 @@ class Fill {
   std::uint64_t s_;
 };
 
-std::vector<double> NaiveGemv(const Matrix& a, const std::vector<double>& x) {
-  std::vector<double> y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) y[i] += a(i, j) * x[j];
-  return y;
-}
-
 Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i)
@@ -59,85 +49,6 @@ Matrix NaiveGemm(const Matrix& a, const Matrix& b) {
       for (std::size_t j = 0; j < b.cols(); ++j)
         c(i, j) += a(i, k) * b(k, j);
   return c;
-}
-
-TEST(Kernels, GemvMatchesNaiveAcrossBlockRemainders) {
-  Fill fill(0x9e3779b97f4a7c15ull);
-  // Rows 1..5 cover every remainder of the 4-row register block; cols
-  // straddle the 256-wide column panel.
-  for (const std::size_t rows : {1u, 2u, 3u, 4u, 5u, 31u, 64u}) {
-    for (const std::size_t cols : {1u, 7u, 255u, 256u, 257u, 300u}) {
-      const Matrix a = fill.Make(rows, cols);
-      const std::vector<double> x = fill.MakeVec(cols);
-      std::vector<double> y(rows, -7.0);
-      Gemv(a, x, y);
-      const std::vector<double> ref = NaiveGemv(a, x);
-      for (std::size_t i = 0; i < rows; ++i)
-        EXPECT_NEAR(y[i], ref[i], 1e-12 * static_cast<double>(cols))
-            << rows << "x" << cols << " row " << i;
-    }
-  }
-}
-
-TEST(Kernels, GemvAddAccumulatesIntoExistingY) {
-  Fill fill(42);
-  const Matrix a = fill.Make(9, 260);
-  const std::vector<double> x = fill.MakeVec(260);
-  std::vector<double> y = fill.MakeVec(9);
-  const std::vector<double> y0 = y;
-  GemvAdd(a, x, y);
-  const std::vector<double> ax = NaiveGemv(a, x);
-  for (std::size_t i = 0; i < y.size(); ++i)
-    EXPECT_NEAR(y[i], y0[i] + ax[i], 1e-10);
-}
-
-TEST(Kernels, GemvRejectsShapeMismatch) {
-  const Matrix a(3, 4);
-  std::vector<double> x(4, 0.0), y(3, 0.0);
-  std::vector<double> bad_x(5, 0.0), bad_y(2, 0.0);
-  EXPECT_THROW(Gemv(a, bad_x, y), std::invalid_argument);
-  EXPECT_THROW(Gemv(a, x, bad_y), std::invalid_argument);
-}
-
-TEST(Kernels, GemmMatchesNaive) {
-  Fill fill(7);
-  // Sizes straddle the k-panel (64) and exercise non-square shapes.
-  const struct {
-    std::size_t m, k, n;
-  } shapes[] = {{1, 1, 1}, {3, 5, 2}, {16, 16, 16},
-                {63, 64, 65}, {10, 130, 7}};
-  for (const auto& s : shapes) {
-    const Matrix a = fill.Make(s.m, s.k);
-    const Matrix b = fill.Make(s.k, s.n);
-    Matrix c(s.m, s.n);
-    for (std::size_t i = 0; i < s.m; ++i)
-      for (std::size_t j = 0; j < s.n; ++j) c(i, j) = 99.0;  // overwritten
-    Gemm(a, b, &c);
-    const Matrix ref = NaiveGemm(a, b);
-    for (std::size_t i = 0; i < s.m; ++i)
-      for (std::size_t j = 0; j < s.n; ++j)
-        EXPECT_NEAR(c(i, j), ref(i, j), 1e-11 * static_cast<double>(s.k));
-  }
-}
-
-TEST(Kernels, GemmAddAccumulates) {
-  Fill fill(11);
-  const Matrix a = fill.Make(6, 70);
-  const Matrix b = fill.Make(70, 5);
-  Matrix c = fill.Make(6, 5);
-  const Matrix c0 = c;
-  GemmAdd(a, b, &c);
-  const Matrix ab = NaiveGemm(a, b);
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 5; ++j)
-      EXPECT_NEAR(c(i, j), c0(i, j) + ab(i, j), 1e-10);
-}
-
-TEST(Kernels, GemmRejectsShapeMismatch) {
-  const Matrix a(3, 4), b(4, 2);
-  Matrix wrong_inner(5, 2), wrong_out(3, 3), ok(3, 2);
-  EXPECT_THROW(Gemm(a, wrong_inner, &ok), std::invalid_argument);
-  EXPECT_THROW(Gemm(a, b, &wrong_out), std::invalid_argument);
 }
 
 /// A well-conditioned diagonally dominant test matrix (same structure

@@ -1,7 +1,7 @@
 // Step-propagator kernels: the folded dense operator, applied by
 // TransientSimulator's panel lane, must match an implicit-Euler LU
 // oracle written in the tests (euler_oracle.hpp) to rounding error
-// (1e-9 C) across floorplan sizes, power patterns and hold lengths.
+// (1e-9 C) across floorplan sizes, power patterns and step counts.
 #include "thermal/propagator.hpp"
 
 #include <gtest/gtest.h>
@@ -9,13 +9,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arch/platform.hpp"
 #include "euler_oracle.hpp"
+#include "thermal/batch_propagator.hpp"
 #include "thermal/floorplan.hpp"
 #include "thermal/rc_model.hpp"
-#include "thermal/steady_state.hpp"
 #include "thermal/transient.hpp"
 
 namespace ds::thermal {
@@ -55,65 +56,18 @@ TEST(StepPropagator, MatchesLuPathAcrossFloorplanSizes) {
   }
 }
 
-TEST(StepPropagator, HoldMatchesExplicitStepsToRoundingError) {
-  const std::size_t cores = 36;
-  const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-  const std::vector<double> p = PowerPattern(cores, 0);
-  // Warm start at another pattern (one pass: powers do not depend on
-  // temperature).
-  const std::vector<double> warm = SteadyStateSolver(model).WarmStart(
-      [&](std::span<const double>, std::span<double> out) {
-        const std::vector<double> p1 = PowerPattern(cores, 1);
-        std::copy(p1.begin(), p1.end(), out.begin());
-      },
-      1);
-  for (const std::size_t k : {1u, 2u, 3u, 7u, 64u, 1000u}) {
-    TransientSimulator held(model, 1e-3);
-    TransientSimulator stepped(model, 1e-3);
-    // Start from a non-trivial state so t_op is exercised.
-    held.SetState(warm);
-    stepped.SetState(warm);
-    held.StepN(p, k);
-    for (std::size_t s = 0; s < k; ++s) stepped.Step(p);
-    EXPECT_LT(MaxAbsDiff(held.state(), stepped.state()), 1e-9) << "k=" << k;
-    EXPECT_NEAR(held.time(), stepped.time(), 1e-12);
-  }
-}
-
-TEST(StepPropagator, HoldMatchesLegacyLuSteps) {
+TEST(StepPropagator, ConstantPowerStepsMatchLegacyLuSteps) {
   const std::size_t cores = 16;
   const RcModel model(Floorplan::MakeGrid(cores, 5.1));
   const std::vector<double> p = PowerPattern(cores, 2);
   TransientSimulator sim(model, 1e-3);
   EulerOracle oracle(model, 1e-3);
-  sim.StepN(p, 200);  // one Hold(200) application
-  for (std::size_t s = 0; s < 200; ++s) oracle.Step(p);
+  for (std::size_t s = 0; s < 200; ++s) {
+    sim.Step(p);
+    oracle.Step(p);
+  }
   EXPECT_LT(MaxAbsDiff(sim.state(), oracle.state()), 1e-9);
-}
-
-TEST(StepPropagator, StepNRoutesThroughHoldWithIdenticalSemantics) {
-  const std::size_t cores = 16;
-  const RcModel model(Floorplan::MakeGrid(cores, 5.1));
-  const std::vector<double> p = PowerPattern(cores, 0);
-  TransientSimulator a(model, 1e-3);
-  TransientSimulator b(model, 1e-3);
-  a.StepN(p, 25);
-  for (std::size_t s = 0; s < 25; ++s) b.Step(p);
-  EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-9);
-  EXPECT_NEAR(a.time(), 25e-3, 1e-12);
-  a.StepN(p, 0);  // no-op
-  EXPECT_NEAR(a.time(), 25e-3, 1e-12);
-}
-
-TEST(StepPropagator, HoldOperatorsAreMemoized) {
-  const RcModel model(Floorplan::MakeGrid(9, 5.1));
-  const StepPropagator prop(model, 1e-3);
-  const auto h1 = prop.Hold(37);
-  const auto h2 = prop.Hold(37);
-  EXPECT_EQ(h1.get(), h2.get());
-  EXPECT_EQ(h1->k, 37u);
-  EXPECT_EQ(h1->t_op.rows(), model.num_nodes());
-  EXPECT_EQ(h1->in_op.cols(), model.num_cores());
+  EXPECT_NEAR(sim.time(), 200e-3, 1e-12);
 }
 
 TEST(StepPropagator, RejectsNonPositiveDt) {
@@ -150,9 +104,11 @@ TEST(PropagatorSet, PlatformMakeTransientSharesPropagators) {
   TransientSimulator c = platform.MakeTransient(5e-3);
   EXPECT_EQ(platform.propagators()->size(), 2u);
   const std::vector<double> p(16, 2.0);
-  a.StepN(p, 64);
-  b.StepN(p, 64);
-  c.StepN(p, 64);
+  for (std::size_t s = 0; s < 64; ++s) {
+    a.Step(p);
+    b.Step(p);
+    c.Step(p);
+  }
   // a and b advanced identically off the shared operators.
   EXPECT_LT(MaxAbsDiff(a.state(), b.state()), 1e-15);
 }
@@ -162,11 +118,15 @@ TEST(StepPropagator, OperatorShapesAndFiniteness) {
   const StepPropagator prop(model, 1e-3);
   EXPECT_EQ(prop.num_nodes(), model.num_nodes());
   EXPECT_EQ(prop.num_cores(), model.num_cores());
-  EXPECT_EQ(prop.state_operator().rows(), model.num_nodes());
-  EXPECT_EQ(prop.state_operator().cols(), model.num_nodes());
-  EXPECT_EQ(prop.input_operator().rows(), model.num_nodes());
-  EXPECT_EQ(prop.input_operator().cols(), model.num_cores());
+  EXPECT_EQ(prop.state_operator_t().rows(), model.num_nodes());
+  EXPECT_EQ(prop.state_operator_t().cols(), model.num_nodes());
+  EXPECT_EQ(prop.input_operator_t().rows(), model.num_cores());
+  EXPECT_EQ(prop.input_operator_t().cols(), model.num_nodes());
   EXPECT_EQ(prop.ambient_operator().size(), model.num_nodes());
+  for (const double x : prop.state_operator_t().data())
+    ASSERT_TRUE(std::isfinite(x));
+  for (const double x : prop.input_operator_t().data())
+    ASSERT_TRUE(std::isfinite(x));
   // The zero-power, ambient-start fixed point: ambient state must map
   // exactly back to ambient (M_state*T_amb + c_amb == T_amb) -- checked
   // through the simulator at tight tolerance.
@@ -174,6 +134,25 @@ TEST(StepPropagator, OperatorShapesAndFiniteness) {
   const std::vector<double> zero(model.num_cores(), 0.0);
   sim.Step(zero);
   for (const double t : sim.state()) EXPECT_NEAR(t, model.ambient_c(), 1e-9);
+}
+
+TEST(StepPropagator, ImmutableAfterConstruction) {
+  const RcModel model(Floorplan::MakeGrid(16, 5.1));
+  const auto prop = std::make_shared<const StepPropagator>(model, 1e-3);
+  const std::size_t n = model.num_nodes();
+  const std::size_t cores = model.num_cores();
+  // Exactly the operators the panel kernels read: M_state^T, M_in^T and
+  // c_amb. Stepping a cohort over the propagator builds nothing more.
+  const std::size_t folded = sizeof(double) * (n * n + cores * n + n);
+  EXPECT_EQ(prop->ApproxBytes(), folded);
+  BatchStepPropagator cohort(prop, 4);
+  for (std::size_t j = 0; j < 4; ++j) {
+    const std::size_t m =
+        cohort.AddMember(std::vector<double>(n, model.ambient_c()));
+    cohort.SetPowers(m, PowerPattern(cores, j));
+  }
+  for (std::size_t s = 0; s < 10; ++s) cohort.Step();
+  EXPECT_EQ(prop->ApproxBytes(), folded);
 }
 
 }  // namespace

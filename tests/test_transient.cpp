@@ -13,6 +13,12 @@
 namespace ds::thermal {
 namespace {
 
+/// `n` steps of `sim` under constant powers `p`.
+void StepTimes(TransientSimulator& sim, std::span<const double> p,
+               std::size_t n) {
+  for (std::size_t s = 0; s < n; ++s) sim.Step(p);
+}
+
 class TransientTest : public ::testing::Test {
  protected:
   TransientTest() : model_(Floorplan::MakeGrid(16, 5.1)), solver_(model_) {}
@@ -59,7 +65,7 @@ TEST_F(TransientTest, ConvergesToSteadyState) {
   p[5] = 4.0;
   p[6] = 2.0;
   // 600 steps of 0.1 s = 60 s >> the 14 s package time constant.
-  sim.StepN(p, 600);
+  StepTimes(sim, p, 600);
   const SteadyStateSolver solver(model_);
   const std::vector<double> steady = solver.Solve(p);
   const std::vector<double> transient = sim.DieTemps();
@@ -73,7 +79,7 @@ TEST_F(TransientTest, WarmStartStateIsAFixedPoint) {
   std::vector<double> p(16, 2.5);
   sim.SetState(SteadyState(p));
   const std::vector<double> before = sim.DieTemps();
-  sim.StepN(p, 10);
+  StepTimes(sim, p, 10);
   EXPECT_LT(util::MaxAbsDiffVec(sim.DieTemps(), before), 1e-9);
 }
 
@@ -83,7 +89,7 @@ TEST_F(TransientTest, CoolsBackTowardAmbientWhenPowerRemoved) {
   sim.SetState(SteadyState(p));
   const double hot = sim.PeakDieTemp();
   const std::vector<double> zero(16, 0.0);
-  sim.StepN(zero, 600);  // 60 s, ~4 package time constants
+  StepTimes(sim, zero, 600);  // 60 s, ~4 package time constants
   EXPECT_LT(sim.PeakDieTemp(), hot);
   // The slow convection capacitance leaves a sub-Kelvin tail.
   EXPECT_NEAR(sim.PeakDieTemp(), model_.ambient_c(), 1.0);
@@ -93,7 +99,7 @@ TEST_F(TransientTest, CoolsBackTowardAmbientWhenPowerRemoved) {
 
 TEST_F(TransientTest, ResetRestoresAmbient) {
   TransientSimulator sim(model_, 1e-2);
-  sim.StepN(std::vector<double>(16, 5.0), 20);
+  StepTimes(sim, std::vector<double>(16, 5.0), 20);
   sim.Reset();
   EXPECT_DOUBLE_EQ(sim.time(), 0.0);
   for (const double t : sim.DieTemps())
@@ -102,7 +108,7 @@ TEST_F(TransientTest, ResetRestoresAmbient) {
 
 TEST_F(TransientTest, TimeAdvancesByDt) {
   TransientSimulator sim(model_, 2e-3);
-  sim.StepN(std::vector<double>(16, 1.0), 5);
+  StepTimes(sim, std::vector<double>(16, 1.0), 5);
   EXPECT_NEAR(sim.time(), 1e-2, 1e-12);
 }
 
@@ -113,8 +119,8 @@ TEST_F(TransientTest, HalvingTheStepChangesLittle) {
   p[0] = 6.0;
   TransientSimulator coarse(model_, 0.02);
   TransientSimulator fine(model_, 0.01);
-  coarse.StepN(p, 100);  // 2 s
-  fine.StepN(p, 200);    // 2 s
+  StepTimes(coarse, p, 100);  // 2 s
+  StepTimes(fine, p, 200);    // 2 s
   EXPECT_LT(util::MaxAbsDiffVec(coarse.DieTemps(), fine.DieTemps()), 0.05);
 }
 
@@ -124,7 +130,7 @@ TEST_F(TransientTest, FasterThanPackageTimeConstantDieHeatsFirst) {
   // exploits.
   TransientSimulator sim(model_, 1e-3);
   const std::vector<double> p(16, 5.0);
-  sim.StepN(p, 20);  // 20 ms
+  StepTimes(sim, p, 20);  // 20 ms
   const double die = sim.state()[model_.DieNode(5)];
   const double sink = sim.state()[model_.SinkNode(5)];
   EXPECT_GT(die - model_.ambient_c(), 10.0 * (sink - model_.ambient_c()));
