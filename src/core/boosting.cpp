@@ -60,24 +60,37 @@ Estimate BoostingSimulator::SteadyAtLevel(std::size_t level) const {
   return estimator_.EvaluateWorkload(w, active_set_);
 }
 
+std::size_t BoostingSimulator::SafePrefix(
+    const std::function<bool(const Estimate&)>& safe) const {
+  // Bisection over [0, ladder size): levels below lo are safe, levels
+  // at or above hi are not.
+  std::size_t lo = 0;
+  std::size_t hi = platform_->ladder().size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    bool ok = false;
+    try {
+      ok = safe(SteadyAtLevel(mid));
+    } catch (const std::runtime_error&) {
+      // Thermal runaway at this level and above: unsafe.
+    }
+    if (ok)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return lo;
+}
+
 bool BoostingSimulator::MaxSafeConstantLevel(double power_cap_w,
                                              std::size_t* level_out) const {
   DS_REQUIRE(level_out != nullptr,
              "MaxSafeConstantLevel: level_out must not be null");
-  bool found = false;
-  for (std::size_t level = 0; level < platform_->ladder().size(); ++level) {
-    Estimate e;
-    try {
-      e = SteadyAtLevel(level);
-    } catch (const std::runtime_error&) {
-      break;  // thermal runaway at this level and above
-    }
-    if (!e.thermal_violation && e.total_power_w <= power_cap_w) {
-      *level_out = level;
-      found = true;
-    }
-  }
-  return found;
+  const std::size_t safe = SafePrefix([&](const Estimate& e) {
+    return !e.thermal_violation && e.total_power_w <= power_cap_w;
+  });
+  if (safe > 0) *level_out = safe - 1;
+  return safe > 0;
 }
 
 BoostTrace BoostingSimulator::RunBoostLoop(std::size_t start_level,
@@ -182,27 +195,18 @@ BoostingSimulator::QuasiSteadyBoost BoostingSimulator::EstimateBoosting(
     double threshold_c, double power_cap_w) const {
   QuasiSteadyBoost out;
   // Highest level whose steady peak stays at or below the threshold.
-  bool have_base = false;
+  // The last level the bisection finds safe is that level, so the
+  // predicate keeps its estimate.
   Estimate base;
-  std::size_t base_level = 0;
-  for (std::size_t level = 0; level < platform_->ladder().size(); ++level) {
-    Estimate e;
-    try {
-      e = SteadyAtLevel(level);
-    } catch (const std::runtime_error&) {
-      break;
-    }
-    if (e.peak_temp_c <= threshold_c && e.total_power_w <= power_cap_w) {
-      base = e;
-      base_level = level;
-      have_base = true;
-    }
-  }
-  if (!have_base) {
-    // Even the lowest level violates: the controller pins the floor.
-    base = SteadyAtLevel(0);
-    base_level = 0;
-  }
+  const std::size_t safe = SafePrefix([&](const Estimate& e) {
+    const bool ok =
+        e.peak_temp_c <= threshold_c && e.total_power_w <= power_cap_w;
+    if (ok) base = e;
+    return ok;
+  });
+  // With no safe level the controller pins the floor.
+  if (safe == 0) base = SteadyAtLevel(0);
+  const std::size_t base_level = safe == 0 ? 0 : safe - 1;
   out.base_level = base_level;
 
   const std::size_t up = platform_->ladder().StepUp(base_level);

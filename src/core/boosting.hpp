@@ -91,6 +91,9 @@ class BoostingSimulator {
   /// at the threshold. Orders of magnitude faster than the transient
   /// run and accurate once the package has warmed up -- used for the
   /// Fig. 12/13 sweeps, and validated against RunBoosting in the tests.
+  /// L is found like MaxSafeConstantLevel's level (same monotonicity
+  /// contract, O(log levels) steady solves), with peak <= `threshold_c`
+  /// in place of T_DTM; if no level qualifies, L is the ladder floor.
   struct QuasiSteadyBoost {
     double avg_gips = 0.0;
     double avg_power_w = 0.0;
@@ -126,7 +129,10 @@ class BoostingSimulator {
 
   /// Highest ladder level (<= ladder max) whose steady state satisfies
   /// peak temperature <= T_DTM and total power <= `power_cap_w`.
-  /// Returns false if no level qualifies.
+  /// Returns false if no level qualifies. Frequency rises strictly along
+  /// the ladder and Vdd with it, so power, peak temperature and runaway
+  /// only grow with the level: the safe levels are a prefix of the
+  /// ladder, found by bisection in O(log levels) SteadyAtLevel solves.
   bool MaxSafeConstantLevel(double power_cap_w, std::size_t* level_out) const;
 
   /// Aggregate performance [GIPS] of the workload at a ladder level.
@@ -168,6 +174,15 @@ class BoostingSimulator {
     std::span<std::size_t> levels;
   };
   using ControlRule = std::function<void(const ControlPeriod&)>;
+
+  /// Length of the ladder's safe prefix: the number of levels whose
+  /// SteadyAtLevel estimate satisfies `safe`, found by bisection, so
+  /// `safe` must be monotone (true below some level, false from it on).
+  /// A level whose solve throws std::runtime_error (thermal runaway) is
+  /// unsafe. The last level on which `safe` returns true is level
+  /// (result - 1), so `safe` may keep that level's estimate.
+  std::size_t SafePrefix(
+      const std::function<bool(const Estimate&)>& safe) const;
 
   /// The one boost loop: warm start from the steady state of
   /// `start_level`, then `duration_s` of control periods under `rule`

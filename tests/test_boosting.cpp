@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "apps/app_profile.hpp"
 #include "arch/platform.hpp"
+#include "thermal/rc_model.hpp"
+#include "thermal/steady_state.hpp"
 
 namespace ds::core {
 namespace {
@@ -164,6 +172,78 @@ TEST_F(BoostingTest, FewActiveCoresNeverThrottle) {
   EXPECT_EQ(level, Plat16().ladder().size() - 1);
   const auto qs = small.EstimateBoosting(Plat16().tdtm_c(), 500.0);
   EXPECT_NEAR(qs.avg_gips, small.GipsAtLevel(level), 1e-9);
+}
+
+/// Checks both level searches against a full scan of the ladder (the
+/// linear algorithm they replaced) at several power caps, including one
+/// below level 0's power.
+void ExpectSearchesMatchScan(const arch::Platform& plat,
+                             const apps::AppProfile& app,
+                             std::size_t instances, std::size_t threads) {
+  const BoostingSimulator sim(plat, app, instances, threads);
+  std::vector<Estimate> scan;  // every level below the first runaway
+  for (std::size_t level = 0; level < plat.ladder().size(); ++level) {
+    try {
+      scan.push_back(sim.SteadyAtLevel(level));
+    } catch (const std::runtime_error&) {
+      break;
+    }
+  }
+  ASSERT_FALSE(scan.empty());
+  const std::vector<double> caps = {50.0, 200.0, 500.0, 1e9,
+                                    0.5 * scan[0].total_power_w};
+  for (const double cap : caps) {
+    std::optional<std::size_t> constant;
+    std::size_t base = 0;
+    for (std::size_t level = 0; level < scan.size(); ++level) {
+      const Estimate& e = scan[level];
+      if (e.total_power_w > cap) continue;
+      if (!e.thermal_violation) constant = level;
+      if (e.peak_temp_c <= plat.tdtm_c()) base = level;
+    }
+    std::size_t level = 0;
+    const bool found = sim.MaxSafeConstantLevel(cap, &level);
+    const std::string what = app.name + " x" + std::to_string(instances) +
+                             "/" + std::to_string(threads) + " cap " +
+                             std::to_string(cap);
+    ASSERT_EQ(found, constant.has_value()) << what;
+    if (found) {
+      EXPECT_EQ(level, *constant) << what;
+    }
+    // The quasi-steady mix must start from the base level's own estimate.
+    const auto qs = sim.EstimateBoosting(plat.tdtm_c(), cap);
+    EXPECT_EQ(qs.base_level, base) << what;
+    EXPECT_DOUBLE_EQ(qs.avg_power_w,
+                     (1.0 - qs.duty) * scan[base].total_power_w +
+                         qs.duty * qs.peak_power_w)
+        << what;
+  }
+}
+
+TEST(BoostingSearch, LevelSearchesMatchFullLadderScan) {
+  const std::size_t cores = Plat16().num_cores();
+  for (const apps::AppProfile& app : apps::ParsecSuite())
+    for (const std::size_t threads : {2UL, 8UL})
+      for (const std::size_t instances :
+           {std::size_t{1}, cores / threads / 2, cores / threads})
+        ExpectSearchesMatchScan(Plat16(), app, instances, threads);
+  // A 50 MHz ladder has about four times as many levels.
+  const arch::Platform fine(power::TechNode::N16, 100, 0.05);
+  for (const std::size_t instances : {1UL, 6UL, 12UL})
+    ExpectSearchesMatchScan(fine, apps::AppByName("x264"), instances, 8);
+  // On a 1 K/W heat sink x264 x12 runs away from level 14 on. With
+  // T_DTM above every converged peak, the first runaway level is what
+  // ends the safe prefix.
+  arch::Platform weak(power::TechNode::N16, 100);
+  thermal::PackageParams pkg;
+  pkg.convection_resistance = 1.0;
+  const auto rc =
+      std::make_shared<const thermal::RcModel>(weak.floorplan(), pkg);
+  weak.AdoptThermalAssets(
+      rc, std::make_shared<const thermal::SteadyStateSolver>(*rc));
+  weak.set_tdtm_c(1000.0);
+  for (const std::size_t instances : {6UL, 12UL})
+    ExpectSearchesMatchScan(weak, apps::AppByName("x264"), instances, 8);
 }
 
 }  // namespace

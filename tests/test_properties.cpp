@@ -3,14 +3,18 @@
 // combinations a hand-written case would miss.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <stdexcept>
 
 #include "apps/app_profile.hpp"
 #include "arch/platform.hpp"
+#include "core/boosting.hpp"
 #include "core/estimator.hpp"
 #include "core/mapping.hpp"
 #include "core/tsp.hpp"
 #include "noc/mesh.hpp"
+#include "thermal/rc_model.hpp"
 #include "thermal/steady_state.hpp"
 #include "util/matrix.hpp"
 
@@ -161,6 +165,60 @@ TEST(PropertyFuzz, EstimateTempsConsistentWithPeak) {
                 e.peak_temp_c > Plat16().tdtm_c() + 1e-6);
     }
   }
+}
+
+/// Steady power and peak temperature never fall as the chip-wide DVFS
+/// level rises, and once a level runs away thermally every higher level
+/// does too. The level searches in BoostingSimulator bisect on this.
+/// Returns whether any level ran away.
+bool ExpectSteadyMonotoneInLevel(const arch::Platform& plat,
+                                 const apps::AppProfile& app,
+                                 std::size_t instances) {
+  const core::BoostingSimulator sim(plat, app, instances, 8);
+  bool runaway = false;
+  double prev_power = 0.0, prev_peak = 0.0;
+  for (std::size_t level = 0; level < plat.ladder().size(); ++level) {
+    core::Estimate e;
+    try {
+      e = sim.SteadyAtLevel(level);
+    } catch (const std::runtime_error&) {
+      runaway = true;
+      continue;
+    }
+    EXPECT_FALSE(runaway) << app.name << " x" << instances << " level "
+                          << level << " solved above a runaway level";
+    EXPECT_GE(e.total_power_w, prev_power)
+        << app.name << " x" << instances << " level " << level;
+    EXPECT_GE(e.peak_temp_c, prev_peak)
+        << app.name << " x" << instances << " level " << level;
+    prev_power = e.total_power_w;
+    prev_peak = e.peak_temp_c;
+  }
+  return runaway;
+}
+
+TEST(PropertyFuzz, SteadyStateMonotoneInDvfsLevel) {
+  const std::size_t max16 = Plat16().num_cores() / 8;
+  for (const apps::AppProfile& app : apps::ParsecSuite())
+    for (const std::size_t instances : {max16 / 2, max16})
+      ExpectSteadyMonotoneInLevel(Plat16(), app, instances);
+  const arch::Platform plat8 =
+      arch::Platform::PaperPlatform(power::TechNode::N8);
+  const std::size_t max8 = plat8.num_cores() / 8;
+  for (const std::size_t instances : {max8 / 2, max8})
+    ExpectSteadyMonotoneInLevel(plat8, apps::AppByName("x264"), instances);
+  // The paper platforms converge at every level; on a 1 K/W heat sink
+  // x264 x6 and x12 run away from levels 17 and 14 on.
+  arch::Platform weak(power::TechNode::N16, 100);
+  thermal::PackageParams pkg;
+  pkg.convection_resistance = 1.0;
+  const auto rc =
+      std::make_shared<const thermal::RcModel>(weak.floorplan(), pkg);
+  weak.AdoptThermalAssets(
+      rc, std::make_shared<const thermal::SteadyStateSolver>(*rc));
+  for (const std::size_t instances : {6UL, 12UL})
+    EXPECT_TRUE(
+        ExpectSteadyMonotoneInLevel(weak, apps::AppByName("x264"), instances));
 }
 
 }  // namespace

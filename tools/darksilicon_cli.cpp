@@ -589,6 +589,10 @@ int CmdSweep(const util::ArgParser& args) {
     summary.journal_truncated_bytes = s.journal_truncated_bytes;
     summary.journal_dedup_drops = s.journal_dedup_drops;
     summary.CollectTelemetry();
+    // The engine counts cohorts with telemetry on or off.
+    summary.batch_cohorts = s.batch_cohorts;
+    summary.batch_cohort_members = s.batch_cohort_members;
+    summary.batch_detached = s.batch_detached;
     std::ofstream f(summary_path);
     if (!f) throw std::runtime_error("cannot open " + summary_path);
     summary.WriteJson(f);
